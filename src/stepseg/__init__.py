@@ -2,81 +2,4 @@
 with explicit quadratic smoothing of the network output for segmentation
 from sparse point labels."""
 
-from .adjoint import (
-    AdjointState,
-    GradientBundle,
-    backward,
-    gradcheck,
-    gradient,
-    objective_value,
-    terminal_multiplier,
-)
-from .losses import ClassIoU, ClassMap, IoUReport, iou, softmax_xent, softmax_xent_matrix
-from .network import (
-    ForwardTrace,
-    NetworkParams,
-    SelectionSet,
-    forward,
-    load_params,
-    predict_classes,
-    save_params,
-    select,
-    select_matrix,
-)
-from .regularizer import RegularizerSpec, smoother_grad, smoother_value
-from .synth import (
-    LabelBudget,
-    SceneSpec,
-    augment,
-    gen_scene,
-    make_scene_spec,
-    read_class_map,
-    read_selection,
-    sample_labels,
-    write_class_map,
-    write_selection,
-)
-from .tensor_ops import (
-    activate,
-    activate_deriv,
-    conv2d,
-    conv2d_adjoint_input,
-    conv2d_adjoint_weights,
-    read_ftf,
-    write_ftf,
-)
-from .training import (
-    Dataset,
-    IterationLog,
-    SweepRecord,
-    SweepResult,
-    TrainConfig,
-    TrainResult,
-    evaluate,
-    init_params,
-    load_dataset,
-    parse_config,
-    save_dataset,
-    sweep,
-    sweep_csv,
-    train,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdjointState", "ClassIoU", "ClassMap", "Dataset", "ForwardTrace",
-    "GradientBundle", "IoUReport", "IterationLog", "LabelBudget",
-    "NetworkParams", "RegularizerSpec", "SceneSpec", "SelectionSet",
-    "SweepRecord", "SweepResult", "TrainConfig", "TrainResult",
-    "activate", "activate_deriv", "augment", "backward", "conv2d",
-    "conv2d_adjoint_input", "conv2d_adjoint_weights", "evaluate", "forward",
-    "gen_scene", "gradcheck", "gradient", "init_params", "iou",
-    "load_dataset", "load_params", "make_scene_spec", "objective_value",
-    "parse_config", "predict_classes", "read_class_map", "read_ftf",
-    "read_selection", "sample_labels", "save_dataset", "save_params",
-    "select", "select_matrix", "smoother_grad", "smoother_value",
-    "softmax_xent", "softmax_xent_matrix", "sweep", "sweep_csv",
-    "terminal_multiplier", "train", "write_class_map", "write_ftf",
-    "write_selection",
-]

@@ -75,21 +75,28 @@ class GradientBundle:
         return self.loss + self.alpha * self.regularizer
 
 
-def terminal_multiplier(trace: ForwardTrace, q: SelectionSet, alpha: float,
-                        reg: str = "quadratic") -> AdjointState:
+def _objective_terms(output: np.ndarray, q: SelectionSet,
+                     ) -> tuple[float, Optional[np.ndarray], float]:
+    """Loss, its (C, n) gradient (None without labels), and unscaled R."""
+    if len(q):
+        loss, loss_grad = softmax_xent_matrix(select_matrix(output, q),
+                                              q.classes)
+    else:
+        loss, loss_grad = 0.0, None
+    return loss, loss_grad, regularizer.smoother_value(output)
+
+
+def terminal_multiplier(trace: ForwardTrace, q: SelectionSet,
+                        alpha: float) -> AdjointState:
     """Build p_n from the loss gradients at labeled pixels plus alpha * grad R."""
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     g_out = np.zeros_like(trace.output)
-    if len(q):
-        loss, loss_grad = softmax_xent_matrix(select_matrix(trace.output, q),
-                                              q.classes)
+    loss, loss_grad, reg_value = _objective_terms(trace.output, q)
+    if loss_grad is not None:
         scatter_into(g_out, q, loss_grad)
-    else:
-        loss = 0.0
-    reg_value, reg_grad = regularizer.evaluate(reg, trace.output)
     if alpha != 0.0:
-        g_out += alpha * reg_grad
+        g_out += alpha * regularizer.smoother_grad(trace.output)
     p_n = conv2d_adjoint_input(g_out, trace.params.project)
     return AdjointState(multiplier=p_n, output_cotangent=g_out,
                         loss=loss, reg_value=reg_value, alpha=alpha)
@@ -131,33 +138,28 @@ def backward(trace: ForwardTrace, params: NetworkParams, terminal: AdjointState,
 
 
 def gradient(params: NetworkParams, data: np.ndarray, q: SelectionSet,
-             alpha: float, reg: str = "quadratic") -> GradientBundle:
+             alpha: float) -> GradientBundle:
     """forward, terminal_multiplier, backward in one call."""
     trace = forward(params, data)
-    return backward(trace, params, terminal_multiplier(trace, q, alpha, reg))
+    return backward(trace, params, terminal_multiplier(trace, q, alpha))
 
 
 def objective_value(params: NetworkParams, data: np.ndarray, q: SelectionSet,
-                    alpha: float, reg: str = "quadratic") -> float:
+                    alpha: float) -> float:
     """The scalar J = loss + alpha * R, with no gradient work."""
-    trace = forward(params, data)
-    if len(q):
-        loss, _ = softmax_xent_matrix(select_matrix(trace.output, q), q.classes)
-    else:
-        loss = 0.0
-    reg_value, _ = regularizer.evaluate(reg, trace.output)
+    loss, _, reg_value = _objective_terms(forward(params, data).output, q)
     return loss + alpha * reg_value
 
 
 def gradcheck(params: NetworkParams, data: np.ndarray, q: SelectionSet,
-              alpha: float, reg: str = "quadratic", fd_step: float = 1e-5,
+              alpha: float, fd_step: float = 1e-5,
               num_coords: Optional[int] = 60, seed: int = 0) -> float:
     """Max relative error of the adjoint gradient against central differences.
 
     Compares |adjoint - fd| / (|fd| + 1e-12) over a seeded sample of
     num_coords parameter coordinates (all coordinates if None).
     """
-    bundle = gradient(params, data, q, alpha, reg)
+    bundle = gradient(params, data, q, alpha)
     analytic = ([bundle.lift.reshape(-1)]
                 + [g.reshape(-1) for g in bundle.layers]
                 + [bundle.project.reshape(-1)])
@@ -183,9 +185,9 @@ def gradcheck(params: NetworkParams, data: np.ndarray, q: SelectionSet,
         flat = flats[stack]
         orig = flat[i]
         flat[i] = orig + fd_step
-        f_plus = objective_value(work, data, q, alpha, reg)
+        f_plus = objective_value(work, data, q, alpha)
         flat[i] = orig - fd_step
-        f_minus = objective_value(work, data, q, alpha, reg)
+        f_minus = objective_value(work, data, q, alpha)
         flat[i] = orig
         fd = (f_plus - f_minus) / (2.0 * fd_step)
         err = abs(float(analytic[stack][i]) - fd) / (abs(fd) + 1e-12)

@@ -175,8 +175,8 @@ def _cmd_gradcheck(args) -> int:
                                                  seed=args.seed))
     params = init_params(bands=3, num_classes=2, width=4, steps=2,
                          activation="tanh", h=1.0, seed=args.seed)
-    err = gradcheck(params, data, labels, alpha=args.alpha, reg="quadratic",
-                    fd_step=1e-5, num_coords=60, seed=args.seed)
+    err = gradcheck(params, data, labels, alpha=args.alpha, fd_step=1e-5,
+                    num_coords=60, seed=args.seed)
     print(f"gradcheck max relative error: {err:.6e}")
     return EXIT_OK if err < GRADCHECK_THRESHOLD else EXIT_GRADCHECK_FAILED
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -71,18 +71,6 @@ def softmax_xent_matrix(logits: np.ndarray, labels: np.ndarray,
     grad[labels, cols] -= 1.0
     grad /= count
     return loss, grad
-
-
-def softmax_xent(selected: Sequence[tuple[np.ndarray, int]],
-                 ) -> tuple[float, list[np.ndarray]]:
-    """Loss and per-entry gradient vectors for (logit-vector, class_id) pairs."""
-    if len(selected) == 0:
-        raise ValueError("no labeled pixels, mean loss undefined")
-    logits = np.stack([np.asarray(vec, dtype=np.float64)
-                       for vec, _ in selected], axis=1)
-    labels = np.array([class_id for _, class_id in selected], dtype=np.int64)
-    loss, grad = softmax_xent_matrix(logits, labels)
-    return loss, [grad[:, i] for i in range(grad.shape[1])]
 
 
 @dataclass(frozen=True)

@@ -162,13 +162,6 @@ def _check_bounds(field: np.ndarray, sel: SelectionSet):
         raise IndexError("selection outside field bounds")
 
 
-def select(field: np.ndarray, sel: SelectionSet) -> list[tuple[np.ndarray, int]]:
-    """Read out the selected pixels as (channel column, class_id) pairs."""
-    _check_bounds(field, sel)
-    gathered = field[:, sel.rows, sel.cols]
-    return [(gathered[:, i], int(sel.classes[i])) for i in range(len(sel))]
-
-
 def select_matrix(field: np.ndarray, sel: SelectionSet) -> np.ndarray:
     """Selected pixels as one (C, n) matrix, column order matching entries."""
     _check_bounds(field, sel)
@@ -178,6 +171,25 @@ def select_matrix(field: np.ndarray, sel: SelectionSet) -> np.ndarray:
 def scatter_into(field: np.ndarray, sel: SelectionSet, values: np.ndarray):
     """Adjoint of select_matrix: add (C, n) columns at the selected pixels."""
     field[:, sel.rows, sel.cols] += values
+
+
+def parse_key_values(text: str, keys: tuple[str, ...],
+                     what: str) -> dict[str, str]:
+    """key=value lines, '#' comments and blank lines skipped, last one wins.
+
+    A line without '=' or with a key outside keys raises ValueError.
+    """
+    pairs: dict[str, str] = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or key not in keys:
+            raise ValueError(f"unknown {what} line {raw!r}")
+        pairs[key] = value.strip()
+    return pairs
 
 
 _MANIFEST_KEYS = ("width", "num_classes", "h", "activation", "n", "bands")
@@ -204,13 +216,8 @@ def save_params(directory, params: NetworkParams):
 
 def load_params(directory) -> NetworkParams:
     directory = Path(directory)
-    manifest: dict[str, str] = {}
-    for line in (directory / "manifest.txt").read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        key, _, value = line.partition("=")
-        manifest[key] = value
+    manifest = parse_key_values((directory / "manifest.txt").read_text(),
+                                _MANIFEST_KEYS, "manifest")
     missing = [k for k in _MANIFEST_KEYS if k not in manifest]
     if missing:
         raise ValueError(f"manifest missing keys {missing}")

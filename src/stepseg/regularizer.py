@@ -1,4 +1,4 @@
-"""Explicit output regularizers built from discrete image-gradient operators.
+"""The explicit output regularizer, built from discrete image-gradient operators.
 
 The quadratic smoother penalizes oscillations in a field:
 
@@ -9,16 +9,13 @@ difference dropped (so grad of a constant is zero and gradT.grad is the
 5-point Neumann Laplacian). Its exact gradient is
 
     grad R(y) = grad1T(grad1 y) + grad2T(grad2 y).
+
+Its strength alpha is a plain number; alpha = 0 means no regularization.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-REGULARIZER_KINDS = ("none", "quadratic")
 
 
 def grad_rows(y: np.ndarray) -> np.ndarray:
@@ -56,32 +53,3 @@ def smoother_value(y: np.ndarray) -> float:
 def smoother_grad(y: np.ndarray) -> np.ndarray:
     return (grad_rows_t(grad_rows(y), y.shape[1])
             + grad_cols_t(grad_cols(y), y.shape[2]))
-
-
-def evaluate(kind: str, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Unscaled regularizer value and gradient for one of REGULARIZER_KINDS."""
-    if kind == "none":
-        return 0.0, np.zeros_like(y)
-    if kind == "quadratic":
-        return smoother_value(y), smoother_grad(y)
-    raise ValueError(f"unknown regularizer {kind!r}, expected one of {REGULARIZER_KINDS}")
-
-
-@dataclass(frozen=True)
-class RegularizerSpec:
-    """Penalty kind plus its strength alpha; kind 'none' behaves as alpha = 0."""
-
-    kind: str = "none"
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in REGULARIZER_KINDS:
-            raise ValueError(f"unknown regularizer {self.kind!r}")
-        if not math.isfinite(self.alpha) or self.alpha < 0.0:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-
-
-def apply(spec: RegularizerSpec, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Scaled penalty (alpha * R(y), alpha * grad R(y))."""
-    value, grad = evaluate(spec.kind, y)
-    return spec.alpha * value, spec.alpha * grad

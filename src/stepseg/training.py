@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -29,10 +30,10 @@ from .network import (
     NetworkParams,
     SelectionSet,
     forward,
+    parse_key_values,
     predict_classes,
     select_matrix,
 )
-from .regularizer import RegularizerSpec
 from .synth import (
     augment,
     read_class_map,
@@ -41,7 +42,7 @@ from .synth import (
     write_class_map,
     write_selection,
 )
-from .tensor_ops import read_ftf, write_ftf
+from .tensor_ops import ACTIVATION_KINDS, read_ftf, write_ftf
 
 _STREAM_INIT = 5
 _KERNEL_SIZE = 3
@@ -49,7 +50,10 @@ _KERNEL_SIZE = 3
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything that determines a training run, given the data files."""
+    """Everything that determines a training run, given the data files.
+
+    alpha is the strength of the quadratic output smoother; 0 turns it off.
+    """
 
     iterations: int = 250
     lr0: float = 0.01
@@ -57,8 +61,7 @@ class TrainConfig:
     decay_every: int = 100
     seed: int = 0
     augmentation: bool = True
-    regularizer: RegularizerSpec = field(
-        default_factory=lambda: RegularizerSpec("quadratic", 0.0))
+    alpha: float = 0.0
     width: int = 32
     steps: int = 10
     activation: str = "tanh"
@@ -68,16 +71,25 @@ class TrainConfig:
     def __post_init__(self):
         if self.iterations < 0 or self.width < 1 or self.steps < 0:
             raise ValueError("iterations, width, steps must be sensible")
-        if self.lr0 < 0 or self.decay_every < 1 or self.eval_every < 1:
-            raise ValueError("lr0 >= 0, decay_every >= 1, eval_every >= 1")
+        if self.decay_every < 1 or self.eval_every < 1:
+            raise ValueError("decay_every >= 1, eval_every >= 1")
+        if not (math.isfinite(self.lr0) and self.lr0 >= 0.0):
+            raise ValueError(f"lr0 must be finite and >= 0, got {self.lr0}")
+        if not (math.isfinite(self.decay_factor) and self.decay_factor > 0.0):
+            raise ValueError(f"decay_factor must be finite and > 0, "
+                             f"got {self.decay_factor}")
+        if not math.isfinite(self.h):
+            raise ValueError(f"step size h must be finite, got {self.h}")
+        if self.activation not in ACTIVATION_KINDS:
+            raise ValueError(f"unknown activation {self.activation!r}, "
+                             f"expected one of {ACTIVATION_KINDS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
 
     def lr(self, iteration: int) -> float:
         return self.lr0 * self.decay_factor ** (iteration // self.decay_every)
-
-
-_CONFIG_KEYS = ("iterations", "lr0", "decay_factor", "decay_every", "seed",
-                "augmentation", "reg_kind", "alpha", "width", "steps",
-                "activation", "h", "eval_every")
 
 
 def _parse_bool(text: str) -> bool:
@@ -89,49 +101,27 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+# config key -> the parser for its value; the keys are TrainConfig's fields
+_CONFIG_PARSERS = {f.name: {"int": int, "float": float, "bool": _parse_bool,
+                            "str": str}[f.type]
+                   for f in fields(TrainConfig)}
+
+
 def parse_config(text: str, base: Optional[TrainConfig] = None) -> TrainConfig:
     """Key=value overrides on top of base (or defaults); unknown keys rejected."""
-    config = base if base is not None else TrainConfig()
-    reg_kind = config.regularizer.kind
-    alpha = config.regularizer.alpha
-    updates = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not sep or key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config line {raw!r}")
-        if key == "reg_kind":
-            reg_kind = value
-        elif key == "alpha":
-            alpha = float(value)
-        elif key in ("iterations", "decay_every", "seed", "width", "steps",
-                     "eval_every"):
-            updates[key] = int(value)
-        elif key in ("lr0", "decay_factor", "h"):
-            updates[key] = float(value)
-        elif key == "augmentation":
-            updates[key] = _parse_bool(value)
-        else:
-            updates[key] = value
-    updates["regularizer"] = RegularizerSpec(reg_kind, alpha)
-    return replace(config, **updates)
+    pairs = parse_key_values(text, tuple(_CONFIG_PARSERS), "config")
+    return replace(base if base is not None else TrainConfig(),
+                   **{k: _CONFIG_PARSERS[k](v) for k, v in pairs.items()})
 
 
 def config_text(config: TrainConfig) -> str:
-    pairs = [("iterations", config.iterations), ("lr0", repr(config.lr0)),
-             ("decay_factor", repr(config.decay_factor)),
-             ("decay_every", config.decay_every), ("seed", config.seed),
-             ("augmentation", str(config.augmentation).lower()),
-             ("reg_kind", config.regularizer.kind),
-             ("alpha", repr(config.regularizer.alpha)),
-             ("width", config.width), ("steps", config.steps),
-             ("activation", config.activation), ("h", repr(config.h)),
-             ("eval_every", config.eval_every)]
-    return "".join(f"{k}={v}\n" for k, v in pairs)
+    def text(value) -> str:
+        if isinstance(value, bool):
+            return str(value).lower()
+        return repr(value) if isinstance(value, float) else str(value)
+
+    return "".join(f"{f.name}={text(getattr(config, f.name))}\n"
+                   for f in fields(config))
 
 
 def init_params(bands: int, num_classes: int, width: int, steps: int,
@@ -165,15 +155,11 @@ class IterationLog:
 
 @dataclass(frozen=True)
 class TrainResult:
-    """Final params and per-iteration log; unpacks as (params, history)."""
+    """Final params, per-iteration log, and "ok" or "diverged"."""
 
     params: NetworkParams
     history: tuple[IterationLog, ...]
     status: str
-
-    def __iter__(self):
-        yield self.params
-        yield self.history
 
 
 def _sgd_update(params: NetworkParams, grads: GradientBundle,
@@ -193,15 +179,15 @@ def _infer_num_classes(train_labels: SelectionSet,
     return max(2, max(ids) + 1)
 
 
-def _val_metrics(params: NetworkParams, data: np.ndarray,
+def _val_metrics(output: np.ndarray,
                  val_labels: SelectionSet) -> tuple[float, float]:
-    trace = forward(params, data)
-    val_loss, _ = softmax_xent_matrix(select_matrix(trace.output, val_labels),
+    """Validation loss and sparse-label mIoU of an output field."""
+    val_loss, _ = softmax_xent_matrix(select_matrix(output, val_labels),
                                       val_labels.classes)
-    sparse_truth = selection_to_class_map(val_labels, data.shape[1],
-                                          data.shape[2])
-    report = iou(predict_classes(trace.output), sparse_truth,
-                 num_classes=params.num_classes)
+    sparse_truth = selection_to_class_map(val_labels, output.shape[1],
+                                          output.shape[2])
+    report = iou(predict_classes(output), sparse_truth,
+                 num_classes=output.shape[0])
     return val_loss, report.miou
 
 
@@ -216,7 +202,6 @@ def train(config: TrainConfig, data: np.ndarray, train_labels: SelectionSet,
                          width=config.width, steps=config.steps,
                          activation=config.activation, h=config.h,
                          seed=config.seed)
-    spec = config.regularizer
     history: list[IterationLog] = []
     last_good = params
     status = "ok"
@@ -231,8 +216,7 @@ def train(config: TrainConfig, data: np.ndarray, train_labels: SelectionSet,
             # overflow is detected by explicit finite checks, so numpy's
             # transient warnings would only be noise
             with np.errstate(over="ignore", invalid="ignore"):
-                grads = gradient(params, step_data, step_labels,
-                                 spec.alpha, spec.kind)
+                grads = gradient(params, step_data, step_labels, config.alpha)
         except FloatingPointError:
             status = "diverged"
             params = last_good
@@ -248,7 +232,8 @@ def train(config: TrainConfig, data: np.ndarray, train_labels: SelectionSet,
         if is_eval and len(val_labels):
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    val_loss, val_miou = _val_metrics(params, data, val_labels)
+                    output = forward(params, data).output
+                    val_loss, val_miou = _val_metrics(output, val_labels)
             except FloatingPointError:
                 status = "diverged"
                 params = last_good
@@ -316,37 +301,43 @@ class SweepResult:
     alpha_star: Optional[float]
 
     def summary(self) -> str:
+        """The alpha* line, then per alpha the median validation mIoU over
+        finished runs, the median test mIoU over all runs (diverged runs
+        keep their last finite parameters), and diverged/total runs."""
         if self.alpha_star is None:
-            return "no run finished; alpha* undefined\n"
-        by_alpha = _median_val_miou(self.records)
-        lines = [f"alpha*={repr(self.alpha_star)} by median validation mIoU"]
-        for alpha in sorted(by_alpha):
-            lines.append(f"  alpha={repr(alpha)} median_val_miou="
-                         f"{repr(by_alpha[alpha])}")
+            lines = ["no run finished; alpha* undefined"]
+        else:
+            lines = [f"alpha*={repr(self.alpha_star)} by median validation mIoU"]
+        val = _median_val_miou(self.records)
+        for alpha in sorted({rec.alpha for rec in self.records}):
+            rows = [rec for rec in self.records if rec.alpha == alpha]
+            test = [rec.test_miou for rec in rows
+                    if not math.isnan(rec.test_miou)]
+            test_median = statistics.median(test) if test else math.nan
+            diverged = sum(rec.status == "diverged" for rec in rows)
+            lines.append(f"  alpha={repr(alpha)} "
+                         f"median_val_miou={repr(val.get(alpha, math.nan))} "
+                         f"median_test_miou={repr(test_median)} "
+                         f"diverged={diverged}/{len(rows)}")
         return "\n".join(lines) + "\n"
 
 
 def _run_one(config: TrainConfig, dataset: Dataset, alpha: float,
              seed: int) -> SweepRecord:
-    run_config = replace(config, seed=seed,
-                         regularizer=RegularizerSpec("quadratic", alpha))
+    run_config = replace(config, seed=seed, alpha=alpha)
     started = time.perf_counter()
     result = train(run_config, dataset.data, dataset.train, dataset.val)
     wall = time.perf_counter() - started
-    nan = float("nan")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            trace = forward(result.params, dataset.data)
+            output = forward(result.params, dataset.data).output
             train_loss, _ = softmax_xent_matrix(
-                select_matrix(trace.output, dataset.train),
-                dataset.train.classes)
-            _, val_miou = _val_metrics(result.params, dataset.data,
-                                       dataset.val)
-            report = iou(predict_classes(trace.output), dataset.truth,
-                         num_classes=result.params.num_classes)
-            test_miou = report.miou
+                select_matrix(output, dataset.train), dataset.train.classes)
+            _, val_miou = _val_metrics(output, dataset.val)
+            test_miou = iou(predict_classes(output), dataset.truth,
+                            num_classes=result.params.num_classes).miou
     except FloatingPointError:
-        train_loss = val_miou = test_miou = nan
+        train_loss = val_miou = test_miou = math.nan
         result = replace(result, status="diverged")
     return SweepRecord(alpha=alpha, seed=seed, train_loss=train_loss,
                        val_miou=val_miou, test_miou=test_miou,
@@ -363,12 +354,20 @@ def _median_val_miou(records: tuple[SweepRecord, ...]) -> dict[float, float]:
 
 def sweep(config: TrainConfig, alphas: list[float], seeds: list[int],
           dataset: Dataset, jobs: int = 1) -> SweepResult:
-    """Independent training runs over the (alpha, seed) grid."""
+    """Independent training runs over the (alpha, seed) grid.
+
+    At most min(jobs, grid cells, CPU count) worker processes run at once.
+    """
     if not alphas or not seeds:
         raise ValueError("need at least one alpha and one seed")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     grid = [(alpha, seed) for alpha in sorted(alphas) for seed in sorted(seeds)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    for alpha, seed in grid:
+        replace(config, seed=seed, alpha=alpha)  # reject a bad cell up front
+    workers = min(jobs, len(grid), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(
                 _run_one, [config] * len(grid), [dataset] * len(grid),
                 [a for a, _ in grid], [s for _, s in grid]))

@@ -103,6 +103,20 @@ class TestTrain:
         assert code == EXIT_CONFIG_ERROR
         assert "unknown config line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["reg_kind=quadratic", "lr0=nan",
+                                      "activation=sigmoid", "decay_factor=-1",
+                                      "h=nan", "seed=-1"])
+    def test_bad_config_value_is_config_error(self, tmp_path, scene_dir,
+                                              capsys, line):
+        # a config error, never a run that is reported as diverged
+        cfg = write_config(tmp_path, TINY_CONFIG + line + "\n")
+        code = main(["train", "--config", str(cfg), "--data", str(scene_dir),
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     def test_missing_data_dir_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path)
         code = main(["train", "--config", str(cfg),
@@ -139,6 +153,10 @@ class TestSweep:
                           ["0.001", "1"], ["0.001", "2"]]
         summary = (out / "summary.txt").read_text()
         assert summary.startswith("alpha*=")
+        rows = summary.splitlines()[1:]
+        assert [row.split()[0] for row in rows] == ["alpha=0.0", "alpha=0.001"]
+        assert all(re.fullmatch(r"diverged=[012]/2", row.split()[-1])
+                   for row in rows)
         assert capsys.readouterr().out.startswith("alpha*=")
 
     def test_csv_is_bitwise_reproducible(self, tmp_path, scene_dir):
@@ -152,12 +170,23 @@ class TestSweep:
             runs.append((out / "sweep.csv").read_bytes())
         assert runs[0] == runs[1]
 
+    def test_jobs_below_one_is_config_error(self, tmp_path, scene_dir, capsys):
+        cfg = write_config(tmp_path)
+        code = main(["sweep", "--config", str(cfg), "--alphas", "0",
+                     "--seeds", "1", "--data", str(scene_dir),
+                     "--out", str(tmp_path / "out"), "--jobs", "0"])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: jobs must be >= 1, got 0\n"
+
     def test_malformed_alpha_list_is_config_error(self, tmp_path, scene_dir):
         cfg = write_config(tmp_path)
-        code = main(["sweep", "--config", str(cfg), "--alphas", "0,banana",
-                     "--seeds", "1", "--data", str(scene_dir),
-                     "--out", str(tmp_path / "out")])
-        assert code == EXIT_CONFIG_ERROR
+        for alphas, seeds in (("0,banana", "1"), ("0,inf", "1"),
+                              ("0,-1", "1"), ("0", "1,-1")):
+            code = main(["sweep", "--config", str(cfg), "--alphas", alphas,
+                         "--seeds", seeds, "--data", str(scene_dir),
+                         "--out", str(tmp_path / "out")])
+            assert code == EXIT_CONFIG_ERROR
 
 
 class TestEval:

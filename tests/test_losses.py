@@ -11,40 +11,46 @@ from stepseg.losses import (
     ClassMap,
     IoUReport,
     iou,
-    softmax_xent,
     softmax_xent_matrix,
 )
 
 from oracles import central_fd, iou_direct, softmax_xent_direct
 
 
+def stacked(selected):
+    """(logit-vector, class_id) pairs as a (num_classes, n) matrix and labels."""
+    logits = np.stack([np.asarray(vec, dtype=np.float64)
+                       for vec, _ in selected], axis=1)
+    return logits, np.array([cls for _, cls in selected], dtype=np.int64)
+
+
 class TestSoftmaxXent:
     def test_two_class_fixture(self):
         # logits (1.0, 2.0) with true class 0: loss = ln(1 + e)
-        loss, grads = softmax_xent([(np.array([1.0, 2.0]), 0)])
+        loss, grad = softmax_xent_matrix(np.array([[1.0], [2.0]]), [0])
         assert loss == pytest.approx(1.3132616875182228, abs=1e-15)
         p = (0.2689414213699951, 0.7310585786300049)
-        np.testing.assert_allclose(grads[0], [p[0] - 1.0, p[1]], atol=1e-15)
+        np.testing.assert_allclose(grad[:, 0], [p[0] - 1.0, p[1]], atol=1e-15)
 
     def test_uniform_logits_give_log_k(self):
         for k in (2, 3, 7):
             selected = [(np.zeros(k), 1), (np.full(k, 3.25), 0)]
-            loss, grads = softmax_xent(selected)
+            loss, grad = softmax_xent_matrix(*stacked(selected))
             assert loss == math.log(k)
-            for (_, cls), g in zip(selected, grads):
+            for i, (_, cls) in enumerate(selected):
                 onehot = np.zeros(k)
                 onehot[cls] = 1.0
-                np.testing.assert_allclose(g, (1.0 / k - onehot) / 2,
+                np.testing.assert_allclose(grad[:, i], (1.0 / k - onehot) / 2,
                                            rtol=1e-15, atol=1e-16)
 
     def test_saturated_correct_prediction(self):
-        loss, _ = softmax_xent([(np.array([1e3, 0.0]), 0)])
+        loss, _ = softmax_xent_matrix(np.array([[1e3], [0.0]]), [0])
         assert 0.0 <= loss < 1e-300
 
     def test_large_logits_stay_finite(self):
-        loss, grads = softmax_xent([(np.array([1e4, -1e4]), 1)])
+        loss, grad = softmax_xent_matrix(np.array([[1e4], [-1e4]]), [1])
         assert math.isfinite(loss) and loss > 1e3
-        assert np.all(np.isfinite(grads[0]))
+        assert np.all(np.isfinite(grad))
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_direct_formula(self, seed):
@@ -52,11 +58,11 @@ class TestSoftmaxXent:
         n, k = int(rng.integers(1, 7)), int(rng.integers(2, 5))
         selected = [(rng.standard_normal(k), int(rng.integers(0, k)))
                     for _ in range(n)]
-        loss, grads = softmax_xent(selected)
+        loss, grad = softmax_xent_matrix(*stacked(selected))
         want_loss, want_grads = softmax_xent_direct(selected)
         assert loss == pytest.approx(want_loss, rel=1e-12)
-        for g, w in zip(grads, want_grads):
-            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-14)
+        for i, w in enumerate(want_grads):
+            np.testing.assert_allclose(grad[:, i], w, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gradient_matches_finite_differences(self, seed):
@@ -74,13 +80,13 @@ class TestSoftmaxXent:
 
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):
-            softmax_xent([])
-        with pytest.raises(ValueError):
             softmax_xent_matrix(np.zeros((2, 0)), np.zeros(0, dtype=np.int64))
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ValueError):
-            softmax_xent([(np.zeros(2), 2)])
+            softmax_xent_matrix(np.zeros((2, 1)), [2])
+        with pytest.raises(ValueError):
+            softmax_xent_matrix(np.zeros((2, 1)), [-1])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))

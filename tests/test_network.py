@@ -14,7 +14,6 @@ from stepseg.network import (
     predict_classes,
     save_params,
     scatter_into,
-    select,
     select_matrix,
 )
 from stepseg.tensor_ops import activate, conv2d
@@ -266,37 +265,35 @@ class TestSelectScatter:
     def test_select_reads_named_pixels(self):
         field = np.arange(2 * 3 * 4, dtype=np.float64).reshape(2, 3, 4)
         sel = SelectionSet(rows=[0, 2], cols=[1, 3], classes=[1, 0])
-        pairs = select(field, sel)
-        assert len(pairs) == 2
-        np.testing.assert_array_equal(pairs[0][0], field[:, 0, 1])
-        assert pairs[0][1] == 1
-        np.testing.assert_array_equal(pairs[1][0], field[:, 2, 3])
-        assert pairs[1][1] == 0
+        mat = select_matrix(field, sel)
+        assert mat.shape == (2, 2)
+        np.testing.assert_array_equal(mat[:, 0], field[:, 0, 1])
+        np.testing.assert_array_equal(mat[:, 1], field[:, 2, 3])
 
     def test_select_empty(self):
         field = np.zeros((2, 3, 3))
-        assert select(field, SelectionSet(rows=[], cols=[], classes=[])) == []
+        mat = select_matrix(field, SelectionSet(rows=[], cols=[], classes=[]))
+        assert mat.shape == (2, 0)
 
     def test_select_matrix_columns_match_pairs(self):
+        # column i is the channel vector at the i-th (row, col) entry
         rng = np.random.default_rng(12)
         field = rng.standard_normal((3, 5, 5))
         sel = SelectionSet(rows=[4, 0, 2], cols=[4, 0, 1], classes=[0, 1, 2])
         mat = select_matrix(field, sel)
-        pairs = select(field, sel)
         assert mat.shape == (3, 3)
-        for i, (column, _) in enumerate(pairs):
-            np.testing.assert_array_equal(mat[:, i], column)
+        for i, (r, c, _) in enumerate(sel.entries):
+            np.testing.assert_array_equal(mat[:, i], field[:, r, c])
 
     def test_out_of_bounds_selection(self):
         field = np.zeros((2, 3, 3))
-        sel = SelectionSet(rows=[3], cols=[0], classes=[0])
-        with pytest.raises(IndexError):
-            select(field, sel)
-        with pytest.raises(IndexError):
-            select_matrix(field, sel)
+        for rows, cols in (([3], [0]), ([0], [3]), ([-1], [0])):
+            sel = SelectionSet(rows=rows, cols=cols, classes=[0])
+            with pytest.raises(IndexError):
+                select_matrix(field, sel)
 
     def test_scatter_is_adjoint_of_select(self):
-        # <select(y), u> == <y, scatter(u)> for every seed.
+        # <select_matrix(y), u> == <y, scatter(u)> for every seed.
         for seed in range(10):
             rng = np.random.default_rng(seed)
             field = rng.standard_normal((3, 6, 6))
@@ -385,6 +382,17 @@ class TestSaveLoad:
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="activation"):
             load_params(tmp_path / "net")
+
+    def test_unknown_manifest_line_rejected(self, tmp_path):
+        save_params(tmp_path / "net", random_params(np.random.default_rng(17)))
+        manifest = tmp_path / "net" / "manifest.txt"
+        text = manifest.read_text()
+        manifest.write_text("# comments and blank lines are fine\n\n" + text)
+        assert load_params(tmp_path / "net").width == 4
+        for extra in ("depth=3\n", "width\n"):
+            manifest.write_text(text + extra)
+            with pytest.raises(ValueError, match="unknown manifest line"):
+                load_params(tmp_path / "net")
 
     def test_wrong_kernel_count_rejected(self, tmp_path):
         params = random_params(np.random.default_rng(18), width=4)

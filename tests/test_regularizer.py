@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepseg.adjoint import terminal_multiplier
+from stepseg.network import SelectionSet, forward
 from stepseg.regularizer import (
-    RegularizerSpec,
-    apply,
-    evaluate,
     grad_cols,
     grad_cols_t,
     grad_rows,
@@ -16,6 +15,7 @@ from stepseg.regularizer import (
     smoother_grad,
     smoother_value,
 )
+from stepseg.training import TrainConfig, init_params
 
 from oracles import (
     central_fd,
@@ -119,23 +119,31 @@ class TestSmootherGradient:
         np.testing.assert_array_equal(smoother_grad(c), np.zeros_like(c))
 
 
-class TestRegularizerSpec:
-    def test_kinds_and_scaling(self):
-        rng = np.random.default_rng(4)
-        y = rng.standard_normal((2, 4, 4))
-        value, grad = apply(RegularizerSpec("quadratic", 2.5), y)
-        assert value == pytest.approx(2.5 * smoother_value(y), rel=1e-12)
-        np.testing.assert_allclose(grad, 2.5 * smoother_grad(y), rtol=1e-12)
-        value, grad = apply(RegularizerSpec("none", 0.0), y)
-        assert value == 0.0
-        np.testing.assert_array_equal(grad, np.zeros_like(y))
+class TestAlpha:
+    """alpha is the whole regularizer interface: alpha = 0 means none."""
 
-    def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError):
-            RegularizerSpec("cubic", 1.0)
-        with pytest.raises(ValueError):
-            RegularizerSpec("quadratic", -1.0)
-        with pytest.raises(ValueError):
-            RegularizerSpec("quadratic", float("nan"))
-        with pytest.raises(ValueError):
-            evaluate("cubic", np.zeros((1, 2, 2)))
+    @staticmethod
+    def trace_and_labels():
+        rng = np.random.default_rng(4)
+        params = init_params(bands=2, num_classes=2, width=3, steps=2,
+                             activation="tanh", h=1.0, seed=4)
+        q = SelectionSet(rows=[0, 3], cols=[1, 2], classes=[0, 1])
+        return forward(params, rng.standard_normal((2, 4, 4))), q
+
+    def test_alpha_scales_the_smoother_gradient(self):
+        trace, q = self.trace_and_labels()
+        plain = terminal_multiplier(trace, q, alpha=0.0)
+        scaled = terminal_multiplier(trace, q, alpha=2.5)
+        assert plain.reg_value == scaled.reg_value == smoother_value(trace.output)
+        np.testing.assert_allclose(
+            scaled.output_cotangent - plain.output_cotangent,
+            2.5 * smoother_grad(trace.output), rtol=1e-12, atol=1e-14)
+
+    def test_invalid_alpha_rejected(self):
+        trace, q = self.trace_and_labels()
+        for alpha in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha"):
+                TrainConfig(alpha=alpha)
+            with pytest.raises(ValueError, match="alpha"):
+                terminal_multiplier(trace, q, alpha=alpha)
+        assert TrainConfig(alpha=0.0).alpha == 0.0

@@ -1,13 +1,17 @@
 """Training loop, config parsing, evaluation, and the alpha sweep."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stepseg.training
 from stepseg.adjoint import gradient
 from stepseg.losses import UNLABELED, ClassMap
 from stepseg.network import NetworkParams, SelectionSet, forward
-from stepseg.regularizer import RegularizerSpec
 from stepseg.synth import (
     LabelBudget,
     augment,
@@ -57,7 +61,7 @@ class TestTrainConfig:
         assert cfg.decay_every == 100
         assert cfg.seed == 0
         assert cfg.augmentation is True
-        assert cfg.regularizer == RegularizerSpec("quadratic", 0.0)
+        assert cfg.alpha == 0.0
         assert cfg.width == 32
         assert cfg.steps == 10
         assert cfg.activation == "tanh"
@@ -75,6 +79,13 @@ class TestTrainConfig:
             TrainConfig(decay_every=0)
         with pytest.raises(ValueError):
             TrainConfig(eval_every=0)
+        nan, inf = float("nan"), float("inf")
+        for bad in (dict(lr0=nan), dict(lr0=inf), dict(decay_factor=0.0),
+                    dict(decay_factor=-1.0), dict(decay_factor=nan),
+                    dict(h=nan), dict(h=-inf), dict(activation="sigmoid"),
+                    dict(seed=-1), dict(alpha=-1.0), dict(alpha=nan)):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                TrainConfig(**bad)
 
     def test_step_decay_schedule(self):
         cfg = TrainConfig(lr0=0.08, decay_factor=0.5, decay_every=100)
@@ -94,8 +105,7 @@ class TestParseConfig:
     def test_roundtrip_through_config_text(self):
         cfg = TrainConfig(iterations=7, lr0=0.125, decay_factor=0.25,
                           decay_every=3, seed=9, augmentation=False,
-                          regularizer=RegularizerSpec("quadratic", 0.001),
-                          width=5, steps=3, activation="relu", h=0.5,
+                          alpha=0.001, width=5, steps=3, activation="relu", h=0.5,
                           eval_every=2)
         assert parse_config(config_text(cfg)) == cfg
 
@@ -106,11 +116,9 @@ class TestParseConfig:
         assert cfg.seed == 4
         assert cfg.width == 8
 
-    def test_alpha_and_kind_map_to_regularizer(self):
-        cfg = parse_config("alpha=0.25\n")
-        assert cfg.regularizer == RegularizerSpec("quadratic", 0.25)
-        cfg = parse_config("reg_kind=none\nalpha=0.0\n")
-        assert cfg.regularizer == RegularizerSpec("none", 0.0)
+    def test_alpha_sets_cfg_alpha(self):
+        assert parse_config("alpha=0.25\n").alpha == 0.25
+        assert parse_config("alpha=0\n").alpha == 0.0
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config("# a comment\n\nseed=2  # trailing\n")
@@ -131,9 +139,30 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="boolean"):
             parse_config("augmentation=maybe\n")
 
-    def test_bad_regularizer_kind_rejected(self):
-        with pytest.raises(ValueError, match="regularizer"):
-            parse_config("reg_kind=cubic\n")
+    def test_reg_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown config line"):
+            parse_config("reg_kind=quadratic\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.sampled_from(sorted(stepseg.training._CONFIG_PARSERS)),
+           value=st.one_of(
+               st.text(max_size=12),
+               st.integers(-3, 10 ** 30).map(str),
+               st.floats().map(repr),
+               st.sampled_from(["tanh", "relu", "sigmoid", "true", "off",
+                                "nan", "-inf", "0", "1e400", " 2 # c"])))
+    def test_any_value_parses_and_trains_or_raises(self, key, value):
+        try:
+            cfg = parse_config(f"{key}={value}\n")
+        except ValueError:
+            return
+        # keep every draw small: the keys that size the run are forced
+        cfg = replace(cfg, width=2, steps=1, iterations=1)
+        data, _, train_sel, val_sel = tiny_problem(height=8, width=8,
+                                                   n_train=6, n_val=4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = train(cfg, data, train_sel, val_sel)
+        assert result.status in ("ok", "diverged")
 
 
 class TestInitParams:
@@ -203,8 +232,7 @@ class TestTrain:
                            steps=cfg.steps, activation=cfg.activation,
                            h=cfg.h, seed=cfg.seed)
         step_data, step_labels = augment(data, train_sel, cfg.seed, 0)
-        grads = gradient(init, step_data, step_labels,
-                         cfg.regularizer.alpha, cfg.regularizer.kind)
+        grads = gradient(init, step_data, step_labels, cfg.alpha)
         np.testing.assert_array_equal(result.params.lift,
                                       init.lift - 0.05 * grads.lift)
         for got, k, g in zip(result.params.layers, init.layers, grads.layers):
@@ -224,7 +252,7 @@ class TestTrain:
     def test_objective_decomposition_in_history(self):
         data, _, train_sel, val_sel = tiny_problem()
         alpha = 0.003
-        cfg = tiny_config(regularizer=RegularizerSpec("quadratic", alpha))
+        cfg = tiny_config(alpha=alpha)
         result = train(cfg, data, train_sel, val_sel)
         for log in result.history:
             assert log.objective == log.loss + alpha * log.reg_value
@@ -263,8 +291,7 @@ class TestTrain:
 
     def test_divergence_aborts_with_last_finite_params(self):
         data, _, train_sel, val_sel = tiny_problem()
-        cfg = tiny_config(iterations=40, lr0=10.0,
-                          regularizer=RegularizerSpec("quadratic", 100.0))
+        cfg = tiny_config(iterations=40, lr0=10.0, alpha=100.0)
         with np.errstate(over="ignore", invalid="ignore"):
             result = train(cfg, data, train_sel, val_sel)
         assert result.status == "diverged"
@@ -273,13 +300,6 @@ class TestTrain:
                       result.params.project):
             assert np.all(np.isfinite(stack))
         assert np.all(np.isfinite(forward(result.params, data).output))
-
-    def test_result_unpacks_as_params_history(self):
-        data, _, train_sel, val_sel = tiny_problem()
-        result = train(tiny_config(iterations=2), data, train_sel, val_sel)
-        params, history = result
-        assert params is result.params
-        assert history is result.history
 
 
 class TestEvaluate:
@@ -390,7 +410,7 @@ class TestSweep:
             (0.05, 1): ("diverged", 0.99), (0.05, 2): ("diverged", 0.99),
             (0.1, 1): ("ok", 0.5), (0.1, 2): ("ok", 0.5),
             (0.2, 1): ("ok", 0.8), (0.2, 2): ("ok", 0.8),
-            (0.3, 1): ("ok", 0.8), (0.3, 2): ("ok", 0.8),
+            (0.3, 1): ("ok", 0.8), (0.3, 2): ("diverged", 0.9),
         }
 
         def fake_run(config, dataset, alpha, seed):
@@ -402,18 +422,70 @@ class TestSweep:
         monkeypatch.setattr(stepseg.training, "_run_one", fake_run)
         result = sweep(tiny_config(), [0.05, 0.1, 0.2, 0.3], [1, 2], None)
         assert result.alpha_star == 0.2
-        assert "alpha*=0.2" in result.summary()
+        assert result.summary() == (
+            "alpha*=0.2 by median validation mIoU\n"
+            "  alpha=0.05 median_val_miou=nan median_test_miou=0.5 diverged=2/2\n"
+            "  alpha=0.1 median_val_miou=0.5 median_test_miou=0.5 diverged=0/2\n"
+            "  alpha=0.2 median_val_miou=0.8 median_test_miou=0.5 diverged=0/2\n"
+            "  alpha=0.3 median_val_miou=0.8 median_test_miou=0.5 diverged=1/2\n")
 
     def test_all_diverged_leaves_alpha_star_undefined(self, monkeypatch):
+        # seed 2's last finite parameters still score; seed 1's do not
         def fake_run(config, dataset, alpha, seed):
+            test = float("nan") if seed == 1 else 0.25
             return SweepRecord(alpha=alpha, seed=seed, train_loss=float("nan"),
-                               val_miou=float("nan"), test_miou=float("nan"),
+                               val_miou=float("nan"), test_miou=test,
                                wall_time=0.01, status="diverged")
 
         monkeypatch.setattr(stepseg.training, "_run_one", fake_run)
-        result = sweep(tiny_config(), [1.0], [1], None)
+        result = sweep(tiny_config(), [1.0], [1, 2], None)
         assert result.alpha_star is None
-        assert "undefined" in result.summary()
+        assert result.summary() == (
+            "no run finished; alpha* undefined\n"
+            "  alpha=1.0 median_val_miou=nan median_test_miou=0.25 "
+            "diverged=2/2\n")
+
+    def test_jobs_clamped_to_cells_and_cpus(self, monkeypatch):
+        # a stand-in executor records max_workers and runs the cells inline,
+        # so no worker process is ever started
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        def fake_run(config, dataset, alpha, seed):
+            return SweepRecord(alpha=alpha, seed=seed, train_loss=0.1,
+                               val_miou=0.5, test_miou=0.5, wall_time=0.01,
+                               status="ok")
+
+        monkeypatch.setattr(stepseg.training, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(stepseg.training, "_run_one", fake_run)
+        cpus = [4]
+        monkeypatch.setattr(stepseg.training.os, "cpu_count", lambda: cpus[0])
+        cases = [  # (jobs, alphas, seeds, cpu count) -> workers started
+            ((1000, [0.0, 0.1, 0.2], [1], 4), 3),
+            ((1000, [0.0, 0.1, 0.2], [1, 2], 4), 4),
+            ((2, [0.0, 0.1, 0.2], [1, 2], 4), 2),
+            ((1000, [0.0, 0.1], [1, 2], None), None),
+            ((1, [0.0, 0.1], [1, 2], 4), None),
+            ((1000, [0.0], [1], 4), None),
+        ]
+        for (jobs, alphas, seeds, cpu), want in cases:
+            started.clear()
+            cpus[0] = cpu
+            result = sweep(tiny_config(), alphas, seeds, None, jobs=jobs)
+            assert started == ([] if want is None else [want])
+            assert len(result.records) == len(alphas) * len(seeds)
 
     def test_parallel_equals_sequential(self):
         cfg = tiny_config(iterations=2)
