@@ -102,18 +102,17 @@ def terminal_multiplier(trace: ForwardTrace, q: SelectionSet,
                         loss=loss, reg_value=reg_value, alpha=alpha)
 
 
-def backward(trace: ForwardTrace, params: NetworkParams, terminal: AdjointState,
+def backward(trace: ForwardTrace, terminal: AdjointState,
              multiplier_hook: Optional[Callable[[int, np.ndarray], None]] = None,
              ) -> GradientBundle:
     """Run the multiplier recursion, collecting all parameter gradients.
 
-    multiplier_hook, if given, is called as hook(j, p_j) for j = n down
-    to 0; backward itself never retains more than the working pair.
+    The kernels are the ones that produced the trace. multiplier_hook, if
+    given, is called as hook(j, p_j) for j = n down to 0; backward itself
+    never retains more than the working pair.
     """
+    params = trace.params
     n = len(params.layers)
-    if len(trace.states) != n + 1:
-        raise ValueError(f"trace has {len(trace.states)} states, "
-                         f"params expect {n + 1}")
     h = params.h
     act = params.activation
     project_grad = conv2d_adjoint_weights(terminal.output_cotangent,
@@ -141,7 +140,7 @@ def gradient(params: NetworkParams, data: np.ndarray, q: SelectionSet,
              alpha: float) -> GradientBundle:
     """forward, terminal_multiplier, backward in one call."""
     trace = forward(params, data)
-    return backward(trace, params, terminal_multiplier(trace, q, alpha))
+    return backward(trace, terminal_multiplier(trace, q, alpha))
 
 
 def objective_value(params: NetworkParams, data: np.ndarray, q: SelectionSet,

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from .adjoint import gradcheck
-from .losses import IoUReport
 from .network import load_params, save_params
 from .synth import (
     LabelBudget,
@@ -19,11 +19,13 @@ from .synth import (
     make_scene_spec,
     read_class_map,
     sample_labels,
+    write_class_map,
 )
 from .tensor_ops import read_ftf
 from .training import (
     Dataset,
-    TrainConfig,
+    IterationLog,
+    csv_text,
     init_params,
     evaluate,
     load_dataset,
@@ -110,18 +112,6 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _history_csv(history) -> str:
-    def cell(v):
-        return "" if v is None else repr(v)
-
-    lines = ["iteration,lr,loss,reg_value,objective,val_loss,val_miou"]
-    lines.extend(
-        f"{rec.iteration},{repr(rec.lr)},{repr(rec.loss)},{repr(rec.reg_value)},"
-        f"{repr(rec.objective)},{cell(rec.val_loss)},{cell(rec.val_miou)}"
-        for rec in history)
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_train(args) -> int:
     config = parse_config(Path(args.config).read_text())
     dataset = load_dataset(args.data)
@@ -129,7 +119,8 @@ def _cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_params(out / "params", result.params)
-    (out / "history.csv").write_text(_history_csv(result.history))
+    (out / "history.csv").write_text(csv_text(
+        [f.name for f in fields(IterationLog)], map(astuple, result.history)))
     (out / "status.txt").write_text(result.status + "\n")
     final = result.history[-1] if result.history else None
     if final is not None:
@@ -160,8 +151,13 @@ def _cmd_eval(args) -> int:
     truth = read_class_map(Path(args.data) / "truth.lbl")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report, _ = evaluate(params, data, truth, out_path=out / "prediction.lbl")
-    (out / "iou.csv").write_text(report.csv())
+    report, pred = evaluate(params, data, truth)
+    write_class_map(out / "prediction.lbl", pred)
+    # one row per class with a defined IoU; alpha is empty for a single run
+    (out / "iou.csv").write_text(csv_text(
+        ("alpha", "class_id", "iou", "miou"),
+        [(None, c.class_id, c.iou, report.miou)
+         for c in report.per_class if c.iou is not None]))
     print(f"mIoU {report.miou:.6f}")
     return EXIT_OK
 

@@ -7,7 +7,6 @@ over pixels the ground truth labels (id -1 marks unlabeled).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -99,29 +98,15 @@ class IoUReport:
     per_class: tuple[ClassIoU, ...]
     miou: float
 
-    def csv(self, alpha: Union[float, str] = "") -> str:
-        """Rows alpha,class_id,iou,miou for every class with a defined IoU."""
-        prefix = repr(alpha) if isinstance(alpha, float) else str(alpha)
-        buf = io.StringIO()
-        buf.write("alpha,class_id,iou,miou\n")
-        for entry in self.per_class:
-            if entry.iou is None:
-                continue
-            buf.write(f"{prefix},{entry.class_id},{repr(entry.iou)},"
-                      f"{repr(self.miou)}\n")
-        return buf.getvalue()
-
 
 def _map_values(m: Union[ClassMap, np.ndarray]) -> np.ndarray:
     return m.values if isinstance(m, ClassMap) else np.asarray(m)
 
 
 def iou(pred: Union[ClassMap, np.ndarray], truth: Union[ClassMap, np.ndarray],
-        num_classes: Optional[int] = None) -> IoUReport:
-    """Per-class IoU over the pixels where truth is labeled.
-
-    num_classes defaults to 1 + the largest id seen in either map.
-    """
+        num_classes: int) -> IoUReport:
+    """Per-class IoU for classes 0..num_classes-1 over the pixels where
+    truth is labeled."""
     p = _map_values(pred)
     t = _map_values(truth)
     if p.shape != t.shape:
@@ -129,8 +114,6 @@ def iou(pred: Union[ClassMap, np.ndarray], truth: Union[ClassMap, np.ndarray],
     mask = t >= 0
     p = p[mask]
     t = t[mask]
-    if num_classes is None:
-        num_classes = int(max(p.max(), t.max())) + 1 if p.size else 0
     per_class = []
     defined = []
     for c in range(num_classes):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .losses import UNLABELED, ClassMap
+from .losses import ClassMap
 from .network import SelectionSet
 
 LBL_MAGIC = "LBL1"
@@ -224,6 +224,12 @@ def read_selection(path) -> tuple[SelectionSet, tuple[int, int]]:
     if any(len(t) != 3 for t in triples):
         raise ValueError(f"{path}: selection lines must be 'row col class'")
     arr = np.array(triples, dtype=np.int64).reshape(len(triples), 3)
+    outside = ((arr[:, 0] < 0) | (arr[:, 0] >= height)
+               | (arr[:, 1] < 0) | (arr[:, 1] >= width))
+    if outside.any():
+        row, col, _ = arr[np.argmax(outside)]
+        raise ValueError(f"{path}: label at row {row}, col {col} lies "
+                         f"outside the {height}x{width} field")
     sel = SelectionSet(rows=arr[:, 0], cols=arr[:, 1], classes=arr[:, 2])
     return sel, (height, width)
 
@@ -236,9 +242,3 @@ def _parse_header(lines: list[str], path) -> tuple[int, int]:
         raise ValueError(f"{path}: bad header {lines[0]!r}")
     return int(parts[1]), int(parts[2])
 
-
-def selection_to_class_map(sel: SelectionSet, height: int, width: int) -> ClassMap:
-    """Sparse ClassMap with sel's classes at its pixels, UNLABELED elsewhere."""
-    values = np.full((height, width), UNLABELED, dtype=np.int64)
-    values[sel.rows, sel.cols] = sel.classes
-    return ClassMap(values=values)

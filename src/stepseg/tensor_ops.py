@@ -19,6 +19,7 @@ import struct
 import numpy as np
 
 FTF_MAGIC = b"FTF1"
+_FTF_HEADER = 28  # magic, then three u64 dims
 
 
 class ShapeMismatchError(ValueError):
@@ -137,9 +138,12 @@ def read_ftf(path) -> np.ndarray:
         blob = fh.read()
     if blob[:4] != FTF_MAGIC:
         raise ValueError(f"{path}: not an FTF1 file")
-    channels, height, width = struct.unpack("<QQQ", blob[4:28])
-    expected = 28 + channels * height * width * 8
+    if len(blob) < _FTF_HEADER:
+        raise ValueError(f"{path}: {len(blob)} bytes, shorter than the "
+                         f"{_FTF_HEADER}-byte header")
+    channels, height, width = struct.unpack("<QQQ", blob[4:_FTF_HEADER])
+    expected = _FTF_HEADER + channels * height * width * 8
     if len(blob) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    data = np.frombuffer(blob, dtype="<f8", offset=28)
-    return data.reshape(channels, height, width).astype(np.float64)
+    data = np.frombuffer(blob, dtype="<f8", offset=_FTF_HEADER)
+    return as_field(data.reshape(channels, height, width).astype(np.float64))

@@ -12,7 +12,6 @@ toward the smaller alpha. Diverged runs are recorded but excluded.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import statistics
@@ -20,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .synth import (
     augment,
     read_class_map,
     read_selection,
-    selection_to_class_map,
     write_class_map,
     write_selection,
 )
@@ -75,8 +73,8 @@ class TrainConfig:
             raise ValueError("decay_every >= 1, eval_every >= 1")
         if not (math.isfinite(self.lr0) and self.lr0 >= 0.0):
             raise ValueError(f"lr0 must be finite and >= 0, got {self.lr0}")
-        if not (math.isfinite(self.decay_factor) and self.decay_factor > 0.0):
-            raise ValueError(f"decay_factor must be finite and > 0, "
+        if not 0.0 < self.decay_factor <= 1.0:
+            raise ValueError(f"decay_factor must be in (0, 1], "
                              f"got {self.decay_factor}")
         if not math.isfinite(self.h):
             raise ValueError(f"step size h must be finite, got {self.h}")
@@ -107,31 +105,19 @@ _CONFIG_PARSERS = {f.name: {"int": int, "float": float, "bool": _parse_bool,
                    for f in fields(TrainConfig)}
 
 
-def parse_config(text: str, base: Optional[TrainConfig] = None) -> TrainConfig:
-    """Key=value overrides on top of base (or defaults); unknown keys rejected."""
+def parse_config(text: str) -> TrainConfig:
+    """Key=value overrides on top of the defaults; unknown keys rejected."""
     pairs = parse_key_values(text, tuple(_CONFIG_PARSERS), "config")
-    return replace(base if base is not None else TrainConfig(),
-                   **{k: _CONFIG_PARSERS[k](v) for k, v in pairs.items()})
-
-
-def config_text(config: TrainConfig) -> str:
-    def text(value) -> str:
-        if isinstance(value, bool):
-            return str(value).lower()
-        return repr(value) if isinstance(value, float) else str(value)
-
-    return "".join(f"{f.name}={text(getattr(config, f.name))}\n"
-                   for f in fields(config))
+    return TrainConfig(**{k: _CONFIG_PARSERS[k](v) for k, v in pairs.items()})
 
 
 def init_params(bands: int, num_classes: int, width: int, steps: int,
-                activation: str, h: float, seed: int,
-                scale: float = 1.0) -> NetworkParams:
-    """Seeded Gaussian kernels scaled by scale / sqrt(in_channels * kh * kw)."""
+                activation: str, h: float, seed: int) -> NetworkParams:
+    """Seeded Gaussian kernels scaled by 1 / sqrt(in_channels * kh * kw)."""
     rng = np.random.default_rng([seed, _STREAM_INIT])
 
     def draw(out_c: int, in_c: int, kh: int, kw: int) -> np.ndarray:
-        std = scale / math.sqrt(in_c * kh * kw)
+        std = 1.0 / math.sqrt(in_c * kh * kw)
         return std * rng.standard_normal((out_c, in_c, kh, kw))
 
     return NetworkParams(
@@ -181,12 +167,10 @@ def _infer_num_classes(train_labels: SelectionSet,
 
 def _val_metrics(output: np.ndarray,
                  val_labels: SelectionSet) -> tuple[float, float]:
-    """Validation loss and sparse-label mIoU of an output field."""
-    val_loss, _ = softmax_xent_matrix(select_matrix(output, val_labels),
-                                      val_labels.classes)
-    sparse_truth = selection_to_class_map(val_labels, output.shape[1],
-                                          output.shape[2])
-    report = iou(predict_classes(output), sparse_truth,
+    """Validation loss and mIoU over the labeled pixels of an output field."""
+    logits = select_matrix(output, val_labels)
+    val_loss, _ = softmax_xent_matrix(logits, val_labels.classes)
+    report = iou(np.argmax(logits, axis=0), val_labels.classes,
                  num_classes=output.shape[0])
     return val_loss, report.miou
 
@@ -212,46 +196,35 @@ def train(config: TrainConfig, data: np.ndarray, train_labels: SelectionSet,
                                              config.seed, it)
         else:
             step_data, step_labels = data, train_labels
+        is_eval = (it + 1) % config.eval_every == 0 or it == config.iterations - 1
+        val_loss = val_miou = None
         try:
             # overflow is detected by explicit finite checks, so numpy's
             # transient warnings would only be noise
             with np.errstate(over="ignore", invalid="ignore"):
                 grads = gradient(params, step_data, step_labels, config.alpha)
+                if not math.isfinite(grads.objective):
+                    raise FloatingPointError("nonfinite objective")
+                last_good, params = params, _sgd_update(params, grads, lr)
+                if is_eval and len(val_labels):
+                    val_loss, val_miou = _val_metrics(
+                        forward(params, data).output, val_labels)
         except FloatingPointError:
             status = "diverged"
             params = last_good
             break
-        if not math.isfinite(grads.objective):
-            status = "diverged"
-            params = last_good
-            break
-        last_good = params
-        params = _sgd_update(params, grads, lr)
-        val_loss = val_miou = None
-        is_eval = (it + 1) % config.eval_every == 0 or it == config.iterations - 1
-        if is_eval and len(val_labels):
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    output = forward(params, data).output
-                    val_loss, val_miou = _val_metrics(output, val_labels)
-            except FloatingPointError:
-                status = "diverged"
-                params = last_good
-                break
         history.append(IterationLog(
             iteration=it, lr=lr, loss=grads.loss, reg_value=grads.regularizer,
             objective=grads.objective, val_loss=val_loss, val_miou=val_miou))
     return TrainResult(params=params, history=tuple(history), status=status)
 
 
-def evaluate(params: NetworkParams, data: np.ndarray, truth: ClassMap,
-             out_path=None) -> tuple[IoUReport, ClassMap]:
-    """Dense-truth IoU of the argmax prediction; optional LBL1 map dump."""
+def evaluate(params: NetworkParams, data: np.ndarray,
+             truth: ClassMap) -> tuple[IoUReport, ClassMap]:
+    """Dense-truth IoU of the argmax prediction, and the prediction."""
     trace = forward(params, data)
     pred = ClassMap(values=predict_classes(trace.output))
     report = iou(pred, truth, num_classes=params.num_classes)
-    if out_path is not None:
-        write_class_map(out_path, pred)
     return report, pred
 
 
@@ -276,11 +249,20 @@ def save_dataset(directory, dataset: Dataset):
 
 
 def load_dataset(directory) -> Dataset:
+    """Read a scene directory; every label file must share data.ftf's H x W."""
     directory = Path(directory)
     data = read_ftf(directory / "data.ftf")
     truth = read_class_map(directory / "truth.lbl")
-    train_sel, _ = read_selection(directory / "train_labels.lbl")
-    val_sel, _ = read_selection(directory / "val_labels.lbl")
+    train_sel, train_shape = read_selection(directory / "train_labels.lbl")
+    val_sel, val_shape = read_selection(directory / "val_labels.lbl")
+    height, width = data.shape[1:]
+    for name, shape in (("truth.lbl", truth.values.shape),
+                        ("train_labels.lbl", train_shape),
+                        ("val_labels.lbl", val_shape)):
+        if shape != (height, width):
+            raise ValueError(f"{directory / name}: header is "
+                             f"{shape[0]}x{shape[1]}, data.ftf is "
+                             f"{height}x{width}")
     return Dataset(data=data, truth=truth, train=train_sel, val=val_sel)
 
 
@@ -382,11 +364,22 @@ def sweep(config: TrainConfig, alphas: list[float], seeds: list[int],
     return SweepResult(records=tuple(records), alpha_star=alpha_star)
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Comma-separated table: floats by repr, so they read back exactly,
+    None as an empty cell, anything else by str."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        return repr(value) if isinstance(value, float) else str(value)
+
+    lines = [",".join(header)]
+    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def sweep_csv(records: tuple[SweepRecord, ...]) -> str:
-    """The sweep table with repr-exact floats, sorted by (alpha, seed)."""
-    buf = io.StringIO()
-    buf.write("alpha,seed,train_loss,val_miou,test_miou,status\n")
-    for rec in sorted(records, key=lambda r: (r.alpha, r.seed)):
-        buf.write(f"{repr(rec.alpha)},{rec.seed},{repr(rec.train_loss)},"
-                  f"{repr(rec.val_miou)},{repr(rec.test_miou)},{rec.status}\n")
-    return buf.getvalue()
+    """The sweep table sorted by (alpha, seed); wall_time is left out."""
+    return csv_text(
+        ("alpha", "seed", "train_loss", "val_miou", "test_miou", "status"),
+        [(r.alpha, r.seed, r.train_loss, r.val_miou, r.test_miou, r.status)
+         for r in sorted(records, key=lambda r: (r.alpha, r.seed))])

@@ -1,8 +1,58 @@
-"""Shared pytest plumbing: the acceptance-criteria summary section."""
+"""Shared pytest plumbing: the acceptance-criteria summary section and
+scene directories with one defect each."""
+
+import numpy as np
+import pytest
+
+from stepseg.losses import ClassMap
+from stepseg.synth import (
+    LabelBudget,
+    gen_scene,
+    make_scene_spec,
+    sample_labels,
+    write_class_map,
+    write_selection,
+)
+from stepseg.training import Dataset, save_dataset
 
 # test_acceptance.py appends one line per criterion; printed after the run
 # so the verdicts are visible even when every test passes.
 ACCEPTANCE_LINES: list[str] = []
+
+# defect in a 12x12, 3-band scene directory -> the error message naming it
+BAD_SCENES = {
+    "label_outside_field": "train_labels.lbl: label at row 100, col 3",
+    "truth_header_mismatch": "truth.lbl: header is 8x8, data.ftf is 12x12",
+    "val_header_mismatch": "val_labels.lbl: header is 12x13",
+    "truncated_ftf": "data.ftf: 20 bytes, shorter than the 28-byte header",
+    "zero_band_ftf": r"feature field must be \(C, H, W\), got \(0, 12, 12\)",
+}
+
+
+@pytest.fixture(params=sorted(BAD_SCENES))
+def bad_scene(request, tmp_path):
+    """A scene directory with one defect, and the message that rejects it."""
+    directory = tmp_path / "scene"
+    data, truth = gen_scene(make_scene_spec(seed=3, height=12, width=12,
+                                            channels=3))
+    train_sel, val_sel = sample_labels(truth, LabelBudget(20, 8, seed=3))
+    save_dataset(directory, Dataset(data=data, truth=truth,
+                                    train=train_sel, val=val_sel))
+    if request.param == "label_outside_field":
+        with open(directory / "train_labels.lbl", "a") as fh:
+            fh.write("100 3 1\n")
+    elif request.param == "truth_header_mismatch":
+        write_class_map(directory / "truth.lbl",
+                        ClassMap(values=truth.values[:8, :8]))
+    elif request.param == "val_header_mismatch":
+        write_selection(directory / "val_labels.lbl", val_sel, 12, 13)
+    elif request.param == "truncated_ftf":
+        ftf = directory / "data.ftf"
+        ftf.write_bytes(ftf.read_bytes()[:20])
+    else:
+        header = np.array([0, 12, 12], dtype="<u8").tobytes()
+        (directory / "data.ftf").write_bytes(b"FTF1" + header)
+    return directory, BAD_SCENES[request.param]
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

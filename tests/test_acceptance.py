@@ -97,7 +97,7 @@ def test_criterion_2_assembled_state_gradient_is_zero(experiment_dataset):
     terminal = terminal_multiplier(trace, experiment_dataset.train,
                                    alpha=1e-3)
     seen = {}
-    backward(trace, params, terminal,
+    backward(trace, terminal,
              multiplier_hook=lambda j, p: seen.__setitem__(j, p.copy()))
     top = conv2d_adjoint_input(terminal.output_cotangent, params.project)
     residual = 0.0 if np.array_equal(seen[10], top) else float(

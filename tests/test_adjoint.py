@@ -121,7 +121,7 @@ class TestBackward:
             multiplier=np.zeros_like(trace.states[-1]),
             output_cotangent=np.zeros_like(trace.output),
             loss=0.0, reg_value=0.0, alpha=0.0)
-        bundle = backward(trace, params, terminal)
+        bundle = backward(trace, terminal)
         for stack in bundle_stacks(bundle):
             np.testing.assert_array_equal(stack, np.zeros_like(stack))
 
@@ -136,7 +136,7 @@ class TestBackward:
         trace = forward(params, data)
         terminal = terminal_multiplier(trace, q, alpha=0.2)
         seen = {}
-        backward(trace, params, terminal,
+        backward(trace, terminal,
                  multiplier_hook=lambda j, p: seen.__setitem__(j, p.copy()))
         for j in range(len(params.layers) + 1):
             np.testing.assert_array_equal(seen[j], terminal.multiplier)
@@ -145,7 +145,7 @@ class TestBackward:
         params, data, q = small_instance(8, steps=3)
         trace = forward(params, data)
         calls = []
-        backward(trace, params, terminal_multiplier(trace, q, alpha=0.1),
+        backward(trace, terminal_multiplier(trace, q, alpha=0.1),
                  multiplier_hook=lambda j, p: calls.append(j))
         assert calls == [3, 2, 1, 0]
 
@@ -157,7 +157,7 @@ class TestBackward:
         trace = forward(params, data)
         terminal = terminal_multiplier(trace, q, alpha=0.5)
         seen = {}
-        backward(trace, params, terminal,
+        backward(trace, terminal,
                  multiplier_hook=lambda j, p: seen.__setitem__(j, p.copy()))
         np.testing.assert_array_equal(
             seen[4], conv2d_adjoint_input(terminal.output_cotangent,
@@ -175,20 +175,11 @@ class TestBackward:
         params, data, q = small_instance(10, steps=6)
         trace = forward(params, data)
         refs = []
-        backward(trace, params, terminal_multiplier(trace, q, alpha=0.3),
+        backward(trace, terminal_multiplier(trace, q, alpha=0.3),
                  multiplier_hook=lambda j, p: refs.append(weakref.ref(p)))
         gc.collect()
         alive = sum(1 for r in refs if r() is not None)
         assert alive <= 2
-
-    def test_state_count_mismatch_rejected(self):
-        params, data, q = small_instance(11, steps=2)
-        trace = forward(params, data)
-        longer = NetworkParams(lift=params.lift,
-                               layers=params.layers + params.layers,
-                               project=params.project)
-        with pytest.raises(ValueError, match="states"):
-            backward(trace, longer, terminal_multiplier(trace, q, alpha=0.0))
 
     def test_alpha_enters_through_terminal_arrays_only(self):
         # Feeding backward the same terminal arrays with a different alpha
@@ -202,8 +193,8 @@ class TestBackward:
                                  loss=terminal.loss,
                                  reg_value=terminal.reg_value,
                                  alpha=123.0)
-        a = backward(trace, params, terminal)
-        b = backward(trace, params, relabeled)
+        a = backward(trace, terminal)
+        b = backward(trace, relabeled)
         for ga, gb in zip(bundle_stacks(a), bundle_stacks(b)):
             np.testing.assert_array_equal(ga, gb)
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import stepseg.cli
+import stepseg.training
 from stepseg.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_DIVERGED,
@@ -19,7 +20,8 @@ from stepseg.cli import (
     main,
 )
 from stepseg.network import load_params
-from stepseg.training import load_dataset
+from stepseg.synth import read_class_map
+from stepseg.training import evaluate, load_dataset
 
 TINY_SCENE = ["--size", "12x12", "--bands", "3", "--train-labels", "20",
               "--val-labels", "8"]
@@ -105,7 +107,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("line", ["reg_kind=quadratic", "lr0=nan",
                                       "activation=sigmoid", "decay_factor=-1",
-                                      "h=nan", "seed=-1"])
+                                      "h=nan", "seed=-1",
+                                      "decay_factor=1e200\ndecay_every=1"])
     def test_bad_config_value_is_config_error(self, tmp_path, scene_dir,
                                               capsys, line):
         # a config error, never a run that is reported as diverged
@@ -189,7 +192,46 @@ class TestSweep:
             assert code == EXIT_CONFIG_ERROR
 
 
+class TestBadScene:
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_is_config_error_before_training(self, tmp_path, bad_scene,
+                                             monkeypatch, capsys, command):
+        def no_training(*args):
+            raise AssertionError("a training iteration ran")
+
+        monkeypatch.setattr(stepseg.training, "gradient", no_training)
+        scene, message = bad_scene
+        args = [command, "--config", str(write_config(tmp_path)),
+                "--data", str(scene), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            args += ["--alphas", "0", "--seeds", "1"]
+        assert main(args) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.search(message, err)
+        assert "Traceback" not in err
+
+
 class TestEval:
+    def test_files_match_evaluate(self, tmp_path, scene_dir):
+        cfg = write_config(tmp_path)
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--data", str(scene_dir),
+                     "--out", str(run)]) == EXIT_OK
+        out = tmp_path / "evalout"
+        assert main(["eval", "--params", str(run / "params"),
+                     "--data", str(scene_dir), "--out", str(out)]) == EXIT_OK
+        dataset = load_dataset(scene_dir)
+        report, pred = evaluate(load_params(run / "params"), dataset.data,
+                                dataset.truth)
+        np.testing.assert_array_equal(
+            read_class_map(out / "prediction.lbl").values, pred.values)
+        # a row per class with a defined IoU, floats by repr, alpha empty
+        assert (out / "iou.csv").read_text() == "".join(
+            ["alpha,class_id,iou,miou\n"]
+            + [f",{c.class_id},{c.iou!r},{report.miou!r}\n"
+               for c in report.per_class if c.iou is not None])
+
     def test_scores_saved_params(self, tmp_path, scene_dir, capsys):
         cfg = write_config(tmp_path)
         run = tmp_path / "run"

@@ -158,13 +158,13 @@ class TestIoU:
 
     def test_accepts_class_maps(self):
         truth = ClassMap(values=np.array([[0, 1], [1, 0]]))
-        report = iou(truth, truth)
+        report = iou(truth, truth, num_classes=2)
         assert report.miou == 1.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             iou(np.zeros((2, 2), dtype=np.int64),
-                np.zeros((3, 3), dtype=np.int64))
+                np.zeros((3, 3), dtype=np.int64), num_classes=2)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_counting_oracle(self, seed):
@@ -177,15 +177,3 @@ class TestIoU:
         for entry in report.per_class:
             assert (entry.intersection, entry.union) == want_counts[entry.class_id]
         assert report.miou == pytest.approx(want_miou, rel=1e-12, abs=1e-15)
-
-    def test_csv_rows(self):
-        truth = np.array([[0, 0], [1, 1]])
-        pred = np.array([[0, 1], [1, 1]])
-        report = iou(pred, truth, num_classes=3)
-        text = report.csv(alpha=0.5)
-        lines = text.strip().split("\n")
-        miou = repr((1 / 2 + 2 / 3) / 2)
-        assert lines[0] == "alpha,class_id,iou,miou"
-        assert lines[1] == f"0.5,0,{repr(1 / 2)},{miou}"
-        assert lines[2] == f"0.5,1,{repr(2 / 3)},{miou}"
-        assert len(lines) == 3  # class 2 has empty union, no row

@@ -16,7 +16,6 @@ from stepseg.synth import (
     read_class_map,
     read_selection,
     sample_labels,
-    selection_to_class_map,
     write_class_map,
     write_selection,
 )
@@ -355,18 +354,10 @@ class TestLabelFiles:
         with pytest.raises(ValueError, match="row col class"):
             read_selection(path)
 
+    @pytest.mark.parametrize("triple", ["4 0 1", "0 4 1", "-1 0 1", "0 -1 0"])
+    def test_label_outside_header_field_rejected(self, tmp_path, triple):
+        path = tmp_path / "labels.lbl"
+        path.write_text(f"LBL1 4 4\n1 2 0\n{triple}\n")
+        with pytest.raises(ValueError, match="labels.lbl.*outside the 4x4"):
+            read_selection(path)
 
-class TestSelectionToClassMap:
-    def test_sparse_placement(self):
-        sel = SelectionSet(rows=[0, 2], cols=[1, 3], classes=[1, 0])
-        cmap = selection_to_class_map(sel, height=3, width=4)
-        assert cmap.values[0, 1] == 1
-        assert cmap.values[2, 3] == 0
-        assert np.sum(cmap.values != UNLABELED) == 2
-
-    def test_matches_sampling_source(self):
-        truth = checkerboard_truth(6)
-        tr, _ = sample_labels(truth, LabelBudget(9, 0, seed=3))
-        cmap = selection_to_class_map(tr, 6, 6)
-        mask = cmap.values != UNLABELED
-        np.testing.assert_array_equal(cmap.values[mask], truth.values[mask])

@@ -218,3 +218,18 @@ class TestFtfFiles:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
             read_ftf(path)
+
+    @pytest.mark.parametrize("size", [4, 12, 27])
+    def test_truncated_header_rejected(self, tmp_path, size):
+        path = tmp_path / "field.ftf"
+        write_ftf(path, np.zeros((1, 2, 2)))
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match="shorter than the 28-byte header"):
+            read_ftf(path)
+
+    @pytest.mark.parametrize("dims", [(0, 16, 16), (2, 0, 3), (2, 3, 0)])
+    def test_zero_dimension_rejected(self, tmp_path, dims):
+        path = tmp_path / "field.ftf"
+        path.write_bytes(b"FTF1" + np.array(dims, dtype="<u8").tobytes())
+        with pytest.raises(ValueError, match="feature field"):
+            read_ftf(path)
