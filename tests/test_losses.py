@@ -13,6 +13,7 @@ from stepseg.losses import (
     iou,
     softmax_xent_matrix,
 )
+from stepseg.training import csv_text
 
 from oracles import central_fd, iou_direct, softmax_xent_direct
 
@@ -177,3 +178,18 @@ class TestIoU:
         for entry in report.per_class:
             assert (entry.intersection, entry.union) == want_counts[entry.class_id]
         assert report.miou == pytest.approx(want_miou, rel=1e-12, abs=1e-15)
+
+    def test_csv_rows(self):
+        # the rows the eval command writes to iou.csv, for a swept alpha
+        truth = np.array([[0, 0], [1, 1]])
+        pred = np.array([[0, 1], [1, 1]])
+        report = iou(pred, truth, num_classes=3)
+        text = csv_text(("alpha", "class_id", "iou", "miou"),
+                        [(0.5, c.class_id, c.iou, report.miou)
+                         for c in report.per_class if c.iou is not None])
+        lines = text.strip().split("\n")
+        miou = repr((1 / 2 + 2 / 3) / 2)
+        assert lines[0] == "alpha,class_id,iou,miou"
+        assert lines[1] == f"0.5,0,{repr(1 / 2)},{miou}"
+        assert lines[2] == f"0.5,1,{repr(2 / 3)},{miou}"
+        assert len(lines) == 3  # class 2 has empty union, no row

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 
 import stepseg.training
 from stepseg.adjoint import gradient
+from stepseg.cli import EXIT_OK, main
 from stepseg.losses import UNLABELED, ClassMap, iou
-from stepseg.network import NetworkParams, SelectionSet, forward
+from stepseg.network import NetworkParams, SelectionSet, forward, save_params
 from stepseg.synth import (
     LabelBudget,
     augment,
     gen_scene,
     make_scene_spec,
+    read_class_map,
     sample_labels,
 )
 from stepseg.training import (
@@ -337,6 +339,22 @@ class TestEvaluate:
         assert report.per_class[0].union == truth.values.size
         assert report.per_class[1].intersection == 0
         assert report.per_class[1].union == n1
+
+    def test_prediction_file_written(self, tmp_path):
+        # stepseg eval writes evaluate()'s prediction to prediction.lbl
+        data, truth, train_sel, val_sel = tiny_problem()
+        save_dataset(tmp_path / "scene",
+                     Dataset(data=data, truth=truth, train=train_sel,
+                             val=val_sel))
+        params = init_params(3, 2, 4, 2, "tanh", 1.0, seed=0)
+        save_params(tmp_path / "params", params)
+        out = tmp_path / "evalout"
+        assert main(["eval", "--params", str(tmp_path / "params"),
+                     "--data", str(tmp_path / "scene"),
+                     "--out", str(out)]) == EXIT_OK
+        _, pred = evaluate(params, data, truth)
+        np.testing.assert_array_equal(
+            read_class_map(out / "prediction.lbl").values, pred.values)
 
     def test_ignores_unlabeled_truth(self):
         data, truth, _, _ = tiny_problem()
