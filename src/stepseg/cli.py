@@ -17,11 +17,9 @@ from .synth import (
     LabelBudget,
     gen_scene,
     make_scene_spec,
-    read_class_map,
     sample_labels,
     write_class_map,
 )
-from .tensor_ops import read_ftf
 from .training import (
     Dataset,
     IterationLog,
@@ -29,6 +27,7 @@ from .training import (
     init_params,
     evaluate,
     load_dataset,
+    load_scene,
     parse_config,
     save_dataset,
     sweep,
@@ -147,8 +146,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_eval(args) -> int:
     params = load_params(args.params)
-    data = read_ftf(Path(args.data) / "data.ftf")
-    truth = read_class_map(Path(args.data) / "truth.lbl")
+    data, truth = load_scene(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report, pred = evaluate(params, data, truth)

@@ -41,6 +41,10 @@ class SceneSpec:
     signatures: np.ndarray
 
     def __post_init__(self):
+        for name in ("height", "width", "channels", "num_classes"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         sigs = np.ascontiguousarray(np.asarray(self.signatures, dtype=np.float64))
         if sigs.shape != (self.num_classes, self.channels):
             raise ValueError(f"signatures must be ({self.num_classes}, "
@@ -51,8 +55,6 @@ class SceneSpec:
                     raise ValueError(f"classes {a} and {b} share a signature")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise ValueError("noise_sigma must be finite and >= 0")
-        if min(self.height, self.width, self.channels, self.num_classes) < 1:
-            raise ValueError("dimensions must be positive")
         if self.blob_count < 0:
             raise ValueError("blob_count must be >= 0")
         object.__setattr__(self, "signatures", sigs)

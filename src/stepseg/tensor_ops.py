@@ -8,8 +8,11 @@ Layout conventions used across the package:
 * convolution is zero-padded cross-correlation, so spatial size is preserved.
 
 All operations are pure functions of their arguments and bitwise
-deterministic: the im2col gather has a fixed layout and the contraction is
-a single BLAS matmul per call.
+deterministic. A convolution gathers its patch matrix in bands of whole
+output rows, at most _BAND_BYTES each, with one BLAS matmul per band. A
+patch matrix that fits one band (64x64 at width 32) gets a single matmul;
+with several bands, results may move in the last bits (BLAS column
+blocking, and the weight gradient's per-band partial sums).
 """
 
 from __future__ import annotations
@@ -44,19 +47,31 @@ def as_kernel_stack(weights) -> np.ndarray:
     return arr
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Zero-padded patch matrix of shape (C*kh*kw, H*W), rows ordered (c, a, b)."""
+# patch-matrix bytes per band, so a band's gather is re-read from cache
+_BAND_BYTES = 10 * 2**20
+
+
+def _patch_bands(x: np.ndarray, kh: int, kw: int):
+    """Yield (start, stop, cols) per band of whole output rows: pixels start:stop
+    and their zero-padded (C*kh*kw, stop - start) patch matrix, rows ordered
+    (c, a, b). Bands share one buffer, so cols is valid until the next band."""
     channels, height, width = x.shape
     if kh == 1 and kw == 1:
-        return x.reshape(channels, height * width)
+        yield 0, height * width, x.reshape(channels, height * width)
+        return
     ph, pw = kh // 2, kw // 2
     padded = np.zeros((channels, height + 2 * ph, width + 2 * pw))
     padded[:, ph:ph + height, pw:pw + width] = x
-    cols = np.empty((channels, kh * kw, height, width))
-    for a in range(kh):
-        for b in range(kw):
-            cols[:, a * kw + b] = padded[:, a:a + height, b:b + width]
-    return cols.reshape(channels * kh * kw, height * width)
+    rows = max(1, min(height, _BAND_BYTES // (channels * kh * kw * width * 8)))
+    buffer = np.empty(channels * kh * kw * rows * width)
+    for r0 in range(0, height, rows):
+        r1 = min(r0 + rows, height)
+        cols = buffer[:channels * kh * kw * (r1 - r0) * width].reshape(
+            channels, kh * kw, r1 - r0, width)
+        for a in range(kh):
+            for b in range(kw):
+                cols[:, a * kw + b] = padded[:, r0 + a:r1 + a, b:b + width]
+        yield r0 * width, r1 * width, cols.reshape(channels * kh * kw, -1)
 
 
 def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -66,7 +81,10 @@ def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(
             f"conv2d: input has {x.shape[0]} channels, kernel expects {c_in}")
     height, width = x.shape[1], x.shape[2]
-    out = k.reshape(c_out, c_in * kh * kw) @ _im2col(x, kh, kw)
+    weights = k.reshape(c_out, c_in * kh * kw)
+    out = np.empty((c_out, height * width))
+    for start, stop, cols in _patch_bands(x, kh, kw):
+        np.matmul(weights, cols, out=out[:, start:stop])
     return out.reshape(c_out, height, width)
 
 
@@ -94,7 +112,12 @@ def conv2d_adjoint_weights(cotangent: np.ndarray, x: np.ndarray,
         raise ShapeMismatchError(
             f"adjoint weights: cotangent spatial {cotangent.shape[1:]} "
             f"!= input spatial {(height, width)}")
-    grad = cotangent.reshape(c_out, height * width) @ _im2col(x, kh, kw).T
+    flat = cotangent.reshape(c_out, height * width)
+    grad = None
+    for start, stop, cols in _patch_bands(x, kh, kw):
+        part = flat[:, start:stop] @ cols.T
+        # the first band is assigned, not added to zeros, so one band keeps its bits
+        grad = part if grad is None else grad + part
     return grad.reshape(c_out, c_in, kh, kw)
 
 
@@ -142,6 +165,9 @@ def read_ftf(path) -> np.ndarray:
         raise ValueError(f"{path}: {len(blob)} bytes, shorter than the "
                          f"{_FTF_HEADER}-byte header")
     channels, height, width = struct.unpack("<QQQ", blob[4:_FTF_HEADER])
+    if 0 in (channels, height, width):
+        raise ValueError(f"{path}: shape ({channels}, {height}, {width}) "
+                         f"has a zero dimension")
     expected = _FTF_HEADER + channels * height * width * 8
     if len(blob) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")

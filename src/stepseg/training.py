@@ -248,21 +248,29 @@ def save_dataset(directory, dataset: Dataset):
     write_selection(directory / "val_labels.lbl", dataset.val, height, width)
 
 
-def load_dataset(directory) -> Dataset:
-    """Read a scene directory; every label file must share data.ftf's H x W."""
+def _check_header(path: Path, shape: tuple[int, ...], data: np.ndarray):
+    if shape != data.shape[1:]:
+        raise ValueError(f"{path}: header is {shape[0]}x{shape[1]}, "
+                         f"data.ftf is {data.shape[1]}x{data.shape[2]}")
+
+
+def load_scene(directory) -> tuple[np.ndarray, ClassMap]:
+    """Read data.ftf and truth.lbl; truth.lbl must share data.ftf's H x W."""
     directory = Path(directory)
     data = read_ftf(directory / "data.ftf")
     truth = read_class_map(directory / "truth.lbl")
+    _check_header(directory / "truth.lbl", truth.values.shape, data)
+    return data, truth
+
+
+def load_dataset(directory) -> Dataset:
+    """Read a scene directory; every label file must share data.ftf's H x W."""
+    directory = Path(directory)
+    data, truth = load_scene(directory)
     train_sel, train_shape = read_selection(directory / "train_labels.lbl")
+    _check_header(directory / "train_labels.lbl", train_shape, data)
     val_sel, val_shape = read_selection(directory / "val_labels.lbl")
-    height, width = data.shape[1:]
-    for name, shape in (("truth.lbl", truth.values.shape),
-                        ("train_labels.lbl", train_shape),
-                        ("val_labels.lbl", val_shape)):
-        if shape != (height, width):
-            raise ValueError(f"{directory / name}: header is "
-                             f"{shape[0]}x{shape[1]}, data.ftf is "
-                             f"{height}x{width}")
+    _check_header(directory / "val_labels.lbl", val_shape, data)
     return Dataset(data=data, truth=truth, train=train_sel, val=val_sel)
 
 

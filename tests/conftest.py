@@ -25,7 +25,7 @@ BAD_SCENES = {
     "truth_header_mismatch": "truth.lbl: header is 8x8, data.ftf is 12x12",
     "val_header_mismatch": "val_labels.lbl: header is 12x13",
     "truncated_ftf": "data.ftf: 20 bytes, shorter than the 28-byte header",
-    "zero_band_ftf": r"feature field must be \(C, H, W\), got \(0, 12, 12\)",
+    "zero_band_ftf": r"data.ftf: shape \(0, 12, 12\) has a zero dimension",
 }
 
 

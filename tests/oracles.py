@@ -31,6 +31,20 @@ def conv2d_direct(x, k):
     return out
 
 
+def conv2d_adjoint_weights_direct(u, x, kh, kw):
+    """Gradient of <conv2d_direct(x, K), u> in K, one unit kernel at a time."""
+    grad = np.zeros((u.shape[0], x.shape[0], kh, kw))
+    for i in range(x.shape[0]):
+        for a in range(kh):
+            for b in range(kw):
+                unit = np.zeros((1, 1, kh, kw))
+                unit[0, 0, a, b] = 1.0
+                shifted = conv2d_direct(x[i:i + 1], unit)[0]
+                for o in range(u.shape[0]):
+                    grad[o, i, a, b] = np.sum(shifted * u[o])
+    return grad
+
+
 def inner(a, b):
     return float(np.sum(np.asarray(a, dtype=np.float64) * np.asarray(b, dtype=np.float64)))
 

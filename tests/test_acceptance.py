@@ -3,16 +3,21 @@
 Each test computes its verdict, appends a PASS/FAIL line to the summary
 section printed at the end of the run, and then asserts. Session fixtures
 share the expensive pieces (the default experiment scene and the two
-alpha sweeps).
+alpha sweeps, one serial and one on two worker processes).
 """
 
+import os
 import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import conftest
+import stepseg
 from stepseg.adjoint import gradcheck, gradient, terminal_multiplier, backward
 from stepseg.losses import ClassMap, iou
 from stepseg.network import (
@@ -24,12 +29,21 @@ from stepseg.network import (
 from stepseg.regularizer import smoother_grad, smoother_value
 from stepseg.synth import LabelBudget, gen_scene, make_scene_spec, sample_labels
 from stepseg.tensor_ops import activate_deriv, conv2d, conv2d_adjoint_input
-from stepseg.training import Dataset, TrainConfig, init_params, sweep, sweep_csv
+from stepseg.training import (
+    Dataset,
+    TrainConfig,
+    init_params,
+    save_dataset,
+    sweep,
+    sweep_csv,
+)
 
 from oracles import central_fd, conv2d_direct, iou_direct
 
 SWEEP_ALPHAS = [0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0]
 SWEEP_SEEDS = [1, 2, 3]
+# the directory this suite imported stepseg from, e.g. the checkout's src/
+IMPORT_ROOT = str(Path(stepseg.__file__).resolve().parents[1])
 
 
 def record(number: int, ok: bool, detail: str):
@@ -54,9 +68,26 @@ def first_sweep(experiment_dataset):
 
 
 @pytest.fixture(scope="session")
-def second_sweep(experiment_dataset):
-    result = sweep(TrainConfig(), SWEEP_ALPHAS, SWEEP_SEEDS, experiment_dataset)
-    return result
+def second_sweep(experiment_dataset, tmp_path_factory):
+    """sweep.csv and summary.txt of `stepseg sweep --jobs 2` on the same
+    scene: a cell's result must not depend on the process that ran it. The
+    child has one BLAS thread, so its two workers do not oversubscribe the
+    CPUs (each would otherwise start a thread per core)."""
+    root = tmp_path_factory.mktemp("second_sweep")
+    save_dataset(root / "scene", experiment_dataset)
+    (root / "empty.cfg").write_text("")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (IMPORT_ROOT, env.get("PYTHONPATH")) if p)
+    child = subprocess.run(
+        [sys.executable, "-m", "stepseg", "sweep", "--jobs", "2",
+         "--config", str(root / "empty.cfg"), "--data", str(root / "scene"),
+         "--alphas", ",".join(map(repr, SWEEP_ALPHAS)),
+         "--seeds", ",".join(map(str, SWEEP_SEEDS)), "--out", str(root / "out")],
+        env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return ((root / "out" / "sweep.csv").read_bytes(),
+            (root / "out" / "summary.txt").read_bytes())
 
 
 def gradcheck_instance(seed):
@@ -185,16 +216,13 @@ def test_criterion_5_regularized_sweep_rises_then_falls(first_sweep):
     record(5, ok, detail)
 
 
-def test_criterion_6_sweep_is_bitwise_deterministic(first_sweep, second_sweep,
-                                                    tmp_path):
+def test_criterion_6_sweep_is_bitwise_deterministic(first_sweep, second_sweep):
     result, _ = first_sweep
-    csv_a = sweep_csv(result.records)
-    csv_b = sweep_csv(second_sweep.records)
-    (tmp_path / "a.csv").write_text(csv_a)
-    (tmp_path / "b.csv").write_text(csv_b)
-    ok = (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    record(6, ok, "two executions of the full sweep wrote byte-identical "
-                  "sweep.csv" if ok else "sweep.csv files differ between runs")
+    ok = second_sweep == (sweep_csv(result.records).encode(),
+                          result.summary().encode())
+    record(6, ok, "a serial sweep and `stepseg sweep --jobs 2` wrote "
+                  "byte-identical sweep.csv and summary.txt" if ok
+                  else "sweep.csv or summary.txt differ between runs")
 
 
 def test_criterion_7_oracle_equivalence():

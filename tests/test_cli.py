@@ -19,9 +19,10 @@ from stepseg.cli import (
     EXIT_OK,
     main,
 )
-from stepseg.network import load_params
-from stepseg.synth import read_class_map
-from stepseg.training import evaluate, load_dataset
+from stepseg.losses import ClassMap
+from stepseg.network import load_params, save_params
+from stepseg.synth import read_class_map, write_class_map
+from stepseg.training import evaluate, init_params, load_dataset
 
 TINY_SCENE = ["--size", "12x12", "--bands", "3", "--train-labels", "20",
               "--val-labels", "8"]
@@ -79,6 +80,16 @@ class TestGenData:
                      "--out", str(tmp_path / "scene")])
         assert code == EXIT_CONFIG_ERROR
         assert "--size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,dimension", [("--bands", "channels"),
+                                                ("--classes", "num_classes")])
+    def test_zero_dimension_is_named(self, tmp_path, capsys, flag, dimension):
+        code = main(["gen-data", "--seed", "1", *TINY_SCENE, flag, "0",
+                     "--out", str(tmp_path / "scene")])
+        assert code == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: {dimension} must be >= 1, got 0\n"
+        assert "signature" not in err
 
 
 class TestTrain:
@@ -207,7 +218,8 @@ class TestBadScene:
             args += ["--alphas", "0", "--seeds", "1"]
         assert main(args) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {scene}{os.sep}")
+        assert err.count("\n") == 1
         assert re.search(message, err)
         assert "Traceback" not in err
 
@@ -247,6 +259,27 @@ class TestEval:
         assert iou_rows[0] == "alpha,class_id,iou,miou"
         assert len(iou_rows) >= 2
         assert re.match(r"mIoU \d\.\d{6}", capsys.readouterr().out)
+
+    def test_truth_header_mismatch_rejected_before_forward(
+            self, tmp_path, monkeypatch, capsys):
+        def no_forward(*args):
+            raise AssertionError("a forward pass ran")
+
+        scene = tmp_path / "scene"
+        assert main(["gen-data", "--seed", "3", *TINY_SCENE, "--size", "16x16",
+                     "--out", str(scene)]) == EXIT_OK
+        write_class_map(scene / "truth.lbl",
+                        ClassMap(values=np.zeros((8, 8), dtype=np.int64)))
+        save_params(tmp_path / "params",
+                    init_params(bands=3, num_classes=2, width=4, steps=2,
+                                activation="tanh", h=1.0, seed=1))
+        monkeypatch.setattr(stepseg.training, "forward", no_forward)
+        capsys.readouterr()
+        code = main(["eval", "--params", str(tmp_path / "params"),
+                     "--data", str(scene), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {scene / 'truth.lbl'}: header is 8x8, data.ftf is 16x16\n")
 
     def test_missing_params_dir_is_config_error(self, tmp_path, scene_dir):
         code = main(["eval", "--params", str(tmp_path / "nope"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stepseg import tensor_ops
 from stepseg.tensor_ops import (
     ShapeMismatchError,
     activate,
@@ -18,7 +19,7 @@ from stepseg.tensor_ops import (
     write_ftf,
 )
 
-from oracles import central_fd, conv2d_direct, inner
+from oracles import central_fd, conv2d_adjoint_weights_direct, conv2d_direct, inner
 
 
 class TestConv2d:
@@ -155,6 +156,95 @@ class TestAdjoints:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+# _BAND_BYTES values: one output row per band; 2500 bytes, which on a 7x5
+# field with 3 channels leaves a short last band (3x3: rows 2, 2, 2, 1;
+# 3x1: 6, 1); and the default, one band for these fields.
+BAND_BYTES = {"one_row": 1, "short_last": 2500,
+              "default": tensor_ops._BAND_BYTES}
+BAND_KERNELS = [(3, 3), (5, 5), (3, 1)]
+
+
+@pytest.fixture(params=sorted(BAND_BYTES))
+def band_bytes(request, monkeypatch):
+    monkeypatch.setattr(tensor_ops, "_BAND_BYTES", BAND_BYTES[request.param])
+    return request.param
+
+
+def band_operands(kh, kw, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((3, 7, 5))
+    u = rng.standard_normal((2, 7, 5))
+    k = rng.standard_normal((2, 3, kh, kw))
+    return x, u, k
+
+
+def conv_results(x, u, k):
+    return (conv2d(x, k), conv2d_adjoint_input(u, k),
+            conv2d_adjoint_weights(u, x, k.shape[2], k.shape[3]))
+
+
+@pytest.mark.parametrize("kh,kw", BAND_KERNELS)
+class TestPatchBands:
+    def test_bands_tile_the_patch_matrix(self, band_bytes, monkeypatch,
+                                         kh, kw):
+        x, _, _ = band_operands(kh, kw)
+        bands = [(start, stop, cols.copy())
+                 for start, stop, cols in tensor_ops._patch_bands(x, kh, kw)]
+        with monkeypatch.context() as m:
+            m.setattr(tensor_ops, "_BAND_BYTES", 2**62)
+            [(_, _, whole)] = tensor_ops._patch_bands(x, kh, kw)
+        assert [b[0] for b in bands] == [0] + [b[1] for b in bands[:-1]]
+        assert bands[-1][1] == 35
+        assert all((stop - start) % 5 == 0 for start, stop, _ in bands)
+        np.testing.assert_array_equal(
+            np.concatenate([cols for _, _, cols in bands], axis=1), whole)
+        rows = [(stop - start) // 5 for start, stop, _ in bands]
+        if band_bytes == "one_row":
+            assert rows == [1] * 7
+        elif band_bytes == "short_last" and kw == 3:
+            assert rows == {3: [2, 2, 2, 1], 1: [6, 1]}[kh]
+        elif band_bytes == "default":
+            assert rows == [7]
+
+    def test_match_direct_convolution(self, band_bytes, kh, kw):
+        x, u, k = band_operands(kh, kw)
+        out, adj_in, adj_w = conv_results(x, u, k)
+        flipped = k[:, :, ::-1, ::-1].swapaxes(0, 1)
+        np.testing.assert_allclose(out, conv2d_direct(x, k),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(adj_in, conv2d_direct(u, flipped),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            adj_w, conv2d_adjoint_weights_direct(u, x, kh, kw),
+            rtol=1e-12, atol=1e-12)
+
+    def test_adjoint_identities(self, band_bytes, kh, kw):
+        x, u, k = band_operands(kh, kw, seed=1)
+        _, adj_in, adj_w = conv_results(x, u, k)
+        assert inner(conv2d(x, k), u) == pytest.approx(
+            inner(x, adj_in), rel=1e-12, abs=1e-12)
+        assert inner(conv2d(x, k), u) == pytest.approx(
+            inner(k, adj_w), rel=1e-12, abs=1e-12)
+
+    def test_multi_band_matches_one_band(self, band_bytes, monkeypatch,
+                                         kh, kw):
+        x, u, k = band_operands(kh, kw, seed=2)
+        banded = conv_results(x, u, k)
+        monkeypatch.setattr(tensor_ops, "_BAND_BYTES", 2**62)
+        for got, want in zip(banded, conv_results(x, u, k)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_acceptance_field_is_one_band():
+    # a 64x64 field at width 32 keeps a single GEMM per 3x3 call, and a 1x1
+    # kernel contracts the field itself
+    x = np.zeros((32, 64, 64))
+    bands = list(tensor_ops._patch_bands(x, 3, 3))
+    assert [(start, stop) for start, stop, _ in bands] == [(0, 64 * 64)]
+    [(_, _, cols)] = tensor_ops._patch_bands(x, 1, 1)
+    assert np.shares_memory(cols, x)
+
+
 class TestActivations:
     def test_tanh_values(self):
         x = np.array([[[1.0]]])
@@ -231,5 +321,7 @@ class TestFtfFiles:
     def test_zero_dimension_rejected(self, tmp_path, dims):
         path = tmp_path / "field.ftf"
         path.write_bytes(b"FTF1" + np.array(dims, dtype="<u8").tobytes())
-        with pytest.raises(ValueError, match="feature field"):
+        with pytest.raises(ValueError) as info:
             read_ftf(path)
+        assert str(info.value) == (f"{path}: shape {dims} has a zero "
+                                   f"dimension")
