@@ -18,7 +18,10 @@ and runs backward, yielding each kernel gradient on the fly:
     grad L   = adjoint_weights(p_0, data)
 
 Only the current multiplier pair is alive at any point in the sweep;
-alpha enters the recursion solely through the terminal cotangent.
+alpha enters the recursion solely through the terminal cotangent. The
+sweep reads y_{j-1} and z_j = K_j y_{j-1} from ForwardTrace.reverse_steps,
+which replays the states between the trace's checkpoints, so it holds at
+most one segment of states beyond the trace and recomputes no convolution.
 """
 
 from __future__ import annotations
@@ -107,27 +110,32 @@ def backward(trace: ForwardTrace, terminal: AdjointState,
              ) -> GradientBundle:
     """Run the multiplier recursion, collecting all parameter gradients.
 
-    The kernels are the ones that produced the trace. multiplier_hook, if
-    given, is called as hook(j, p_j) for j = n down to 0; backward itself
-    never retains more than the working pair.
+    The kernels are the ones that produced the trace, and the states come
+    from trace.reverse_steps, which replays them between checkpoints.
+    multiplier_hook, if given, is called as hook(j, p_j) for j = n down to
+    0; backward itself never retains more than the working pair, and
+    releases each step's weighted cotangent and y_{j-1} before the next.
     """
     params = trace.params
     n = len(params.layers)
     h = params.h
     act = params.activation
     project_grad = conv2d_adjoint_weights(terminal.output_cotangent,
-                                          trace.states[n], 1, 1)
+                                          trace.states[-1], 1, 1)
     p = terminal.multiplier
     if multiplier_hook is not None:
         multiplier_hook(n, p)
     layer_grads: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for j in range(n, 0, -1):
+    for j, y_prev, z in trace.reverse_steps():
         k = params.layers[j - 1]
-        y_prev = trace.states[j - 1]
-        weighted = activate_deriv(trace.preacts[j - 1], act) * p
+        weighted = activate_deriv(z, act)
+        weighted *= p
         layer_grads[j - 1] = -h * conv2d_adjoint_weights(
             weighted, y_prev, k.shape[2], k.shape[3])
-        p = p - h * conv2d_adjoint_input(weighted, k)
+        step = conv2d_adjoint_input(weighted, k)
+        del weighted, y_prev
+        step *= h
+        p = np.subtract(p, step, out=step)
         if multiplier_hook is not None:
             multiplier_hook(j - 1, p)
     lift_grad = conv2d_adjoint_weights(p, trace.data, 1, 1)

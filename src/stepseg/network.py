@@ -8,13 +8,19 @@ A network with n residual layers maps a (bands, H, W) field to a
     out = P y_n                    project, 1x1 linear
 
 where K_j y denotes same-size zero-padded convolution and f is a pointwise
-activation. The trace of states y_0..y_n is kept for the multiplier sweep.
+activation. The multiplier sweep needs every state, but the trace keeps only
+the checkpoints y_0, y_k, y_2k, ... and y_n (k = ceil(sqrt(n))) beside every
+preactivation z_j = K_j y_{j-1}. Since y_j follows from y_{j-1} and z_j alone,
+ForwardTrace.reverse_steps replays the states between two checkpoints with
+the forward pass's own elementwise step, bit for bit and with no convolution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -79,17 +85,54 @@ class NetworkParams:
         return self.project.shape[0]
 
 
+def _checkpoint_stride(n: int) -> int:
+    """k = ceil(sqrt(n)): forward keeps y_j for j a multiple of k, and y_n."""
+    return 1 + math.isqrt(n - 1) if n else 1
+
+
+def _step(y_prev: np.ndarray, z: np.ndarray, h: float,
+          activation: str) -> np.ndarray:
+    """y_j = y_{j-1} - h * f(z_j), computed in f(z_j)'s own buffer."""
+    y = activate(z, activation)
+    y *= h
+    return np.subtract(y_prev, y, out=y)
+
+
 @dataclass(frozen=True)
 class ForwardTrace:
     """Everything the backward sweep needs: the params that produced it,
-    the input, all states y_0..y_n, and the projected output. preacts
-    caches each K_j y_{j-1} so the backward sweep need not redo them."""
+    the input, the checkpointed states, every preactivation and the
+    projected output.
+
+    preacts holds z_j = K_j y_{j-1} for j = 1..n. states holds y_j for
+    j = 0, k, 2k, ... and j = n, with k = ceil(sqrt(n)), so
+    states[-1] is always y_n. reverse_steps gives the states in between.
+    """
 
     params: NetworkParams
     data: np.ndarray
     states: tuple[np.ndarray, ...]
     preacts: tuple[np.ndarray, ...]
     output: np.ndarray
+
+    def reverse_steps(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Yield (j, y_{j-1}, z_j) for j = n down to 1.
+
+        Each segment between two checkpoints is replayed forward from its
+        first checkpoint with forward's own step, so every y_{j-1} is
+        bitwise the state forward computed. At most one segment of
+        replayed states is alive, and each is released once yielded.
+        """
+        n = len(self.preacts)
+        k = _checkpoint_stride(n)
+        h, act = self.params.h, self.params.activation
+        for c in range(len(self.states) - 2, -1, -1):
+            start, stop = c * k, min(c * k + k, n)
+            segment = [self.states[c]]
+            for j in range(start + 1, stop):
+                segment.append(_step(segment[-1], self.preacts[j - 1], h, act))
+            for j in range(stop, start, -1):
+                yield j, segment.pop(), self.preacts[j - 1]
 
 
 def _check_finite(field: np.ndarray, where: str):
@@ -98,20 +141,24 @@ def _check_finite(field: np.ndarray, where: str):
 
 
 def forward(params: NetworkParams, data: np.ndarray) -> ForwardTrace:
-    """Run the network on a (bands, H, W) field, keeping all states."""
+    """Run the network on a (bands, H, W) field, keeping every preactivation
+    and the checkpointed states (see ForwardTrace)."""
     data = as_field(data)
     if data.shape[0] != params.bands:
         raise ValueError(f"data has {data.shape[0]} bands, "
                          f"network expects {params.bands}")
+    n = len(params.layers)
+    k = _checkpoint_stride(n)
     y = conv2d(data, params.lift)
     _check_finite(y, "lift")
     states = [y]
     preacts = []
-    for j, k in enumerate(params.layers):
-        z = conv2d(y, k)
-        y = y - params.h * activate(z, params.activation)
-        _check_finite(y, f"layer {j}")
-        states.append(y)
+    for j, kernel in enumerate(params.layers, start=1):
+        z = conv2d(y, kernel)
+        y = _step(y, z, params.h, params.activation)
+        _check_finite(y, f"layer {j - 1}")
+        if j % k == 0 or j == n:
+            states.append(y)
         preacts.append(z)
     output = conv2d(y, params.project)
     _check_finite(output, "project")

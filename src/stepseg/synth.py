@@ -27,6 +27,12 @@ _STREAM_SIGNATURES = 3
 _STREAM_LABELS = 4
 
 
+def _check_dimensions(**dims: int):
+    for name, value in dims.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     """Everything that determines one synthetic scene."""
@@ -41,10 +47,8 @@ class SceneSpec:
     signatures: np.ndarray
 
     def __post_init__(self):
-        for name in ("height", "width", "channels", "num_classes"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+        _check_dimensions(height=self.height, width=self.width,
+                          channels=self.channels, num_classes=self.num_classes)
         sigs = np.ascontiguousarray(np.asarray(self.signatures, dtype=np.float64))
         if sigs.shape != (self.num_classes, self.channels):
             raise ValueError(f"signatures must be ({self.num_classes}, "
@@ -77,6 +81,9 @@ def make_scene_spec(seed: int, height: int = 64, width: int = 64,
     signature accuracy around 0.65, low enough that spatial smoothing of
     the prediction has headroom to help.
     """
+    # before the signatures, whose draw fails on a negative dimension
+    _check_dimensions(height=height, width=width, channels=channels,
+                      num_classes=num_classes)
     return SceneSpec(seed=seed, height=height, width=width, channels=channels,
                      num_classes=num_classes, blob_count=blob_count,
                      noise_sigma=noise_sigma,

@@ -12,7 +12,13 @@ deterministic. A convolution gathers its patch matrix in bands of whole
 output rows, at most _BAND_BYTES each, with one BLAS matmul per band. A
 patch matrix that fits one band (64x64 at width 32) gets a single matmul;
 with several bands, results may move in the last bits (BLAS column
-blocking, and the weight gradient's per-band partial sums).
+blocking, and the weight gradient's per-band partial sums). Each band is
+copied straight from the unpadded field into one module-level workspace,
+with zeros written only where a shifted block reaches into the padding, so
+a convolution allocates no patch buffer and no padded copy of its input.
+The workspace only grows, to the largest band asked for, and is shared by
+every convolution in the process, so no two may run at once in threads of
+one process.
 """
 
 from __future__ import annotations
@@ -50,27 +56,45 @@ def as_kernel_stack(weights) -> np.ndarray:
 # patch-matrix bytes per band, so a band's gather is re-read from cache
 _BAND_BYTES = 10 * 2**20
 
+# the one buffer every band is gathered into; it grows to the largest band
+# asked for so far and is never freed
+_workspace = np.empty(0)
+
 
 def _patch_bands(x: np.ndarray, kh: int, kw: int):
     """Yield (start, stop, cols) per band of whole output rows: pixels start:stop
     and their zero-padded (C*kh*kw, stop - start) patch matrix, rows ordered
-    (c, a, b). Bands share one buffer, so cols is valid until the next band."""
+    (c, a, b). Every band is gathered straight from x into the module's
+    workspace, so cols is valid only until the next band or convolution."""
+    global _workspace
     channels, height, width = x.shape
     if kh == 1 and kw == 1:
         yield 0, height * width, x.reshape(channels, height * width)
         return
     ph, pw = kh // 2, kw // 2
-    padded = np.zeros((channels, height + 2 * ph, width + 2 * pw))
-    padded[:, ph:ph + height, pw:pw + width] = x
     rows = max(1, min(height, _BAND_BYTES // (channels * kh * kw * width * 8)))
-    buffer = np.empty(channels * kh * kw * rows * width)
+    if _workspace.size < channels * kh * kw * rows * width:
+        _workspace = np.empty(channels * kh * kw * rows * width)
     for r0 in range(0, height, rows):
         r1 = min(r0 + rows, height)
-        cols = buffer[:channels * kh * kw * (r1 - r0) * width].reshape(
+        cols = _workspace[:channels * kh * kw * (r1 - r0) * width].reshape(
             channels, kh * kw, r1 - r0, width)
         for a in range(kh):
+            # band rows top:bottom read field rows r0 + top + a - ph onwards;
+            # the rest lie in the zero padding above or below the field
+            top = min(r1 - r0, max(0, ph - a - r0))
+            bottom = max(top, min(r1 - r0, height + ph - a - r0))
             for b in range(kw):
-                cols[:, a * kw + b] = padded[:, r0 + a:r1 + a, b:b + width]
+                left = min(width, max(0, pw - b))
+                right = max(left, min(width, width + pw - b))
+                block = cols[:, a * kw + b]
+                block[:, :top] = 0.0
+                block[:, bottom:] = 0.0
+                block[:, top:bottom, :left] = 0.0
+                block[:, top:bottom, right:] = 0.0
+                block[:, top:bottom, left:right] = x[
+                    :, r0 + top + a - ph:r0 + bottom + a - ph,
+                    left + b - pw:right + b - pw]
         yield r0 * width, r1 * width, cols.reshape(channels * kh * kw, -1)
 
 

@@ -13,6 +13,7 @@ toward the smaller alpha. Diverged runs are recorded but excluded.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import statistics
 import time
@@ -347,6 +348,9 @@ def sweep(config: TrainConfig, alphas: list[float], seeds: list[int],
     """Independent training runs over the (alpha, seed) grid.
 
     At most min(jobs, grid cells, CPU count) worker processes run at once.
+    They are spawned, not forked, so that each one loads OpenBLAS afresh
+    with OPENBLAS_NUM_THREADS = max(1, CPU count // workers) in its
+    environment, unless the caller has set that variable.
     """
     if not alphas or not seeds:
         raise ValueError("need at least one alpha and one seed")
@@ -357,10 +361,20 @@ def sweep(config: TrainConfig, alphas: list[float], seeds: list[int],
         replace(config, seed=seed, alpha=alpha)  # reject a bad cell up front
     workers = min(jobs, len(grid), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(
-                _run_one, [config] * len(grid), [dataset] * len(grid),
-                [a for a, _ in grid], [s for _, s in grid]))
+        pinned = "OPENBLAS_NUM_THREADS" in os.environ
+        if not pinned:
+            os.environ["OPENBLAS_NUM_THREADS"] = str(
+                max(1, (os.cpu_count() or 1) // workers))
+        try:
+            with ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=multiprocessing.get_context("spawn")) as pool:
+                records = list(pool.map(
+                    _run_one, [config] * len(grid), [dataset] * len(grid),
+                    [a for a, _ in grid], [s for _, s in grid]))
+        finally:
+            if not pinned:
+                del os.environ["OPENBLAS_NUM_THREADS"]
     else:
         records = [_run_one(config, dataset, a, s) for a, s in grid]
     records.sort(key=lambda r: (r.alpha, r.seed))

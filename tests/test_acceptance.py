@@ -71,8 +71,8 @@ def first_sweep(experiment_dataset):
 def second_sweep(experiment_dataset, tmp_path_factory):
     """sweep.csv and summary.txt of `stepseg sweep --jobs 2` on the same
     scene: a cell's result must not depend on the process that ran it. The
-    child has one BLAS thread, so its two workers do not oversubscribe the
-    CPUs (each would otherwise start a thread per core)."""
+    child pins one BLAS thread, which its spawned workers inherit, while the
+    serial sweep runs with the default thread count."""
     root = tmp_path_factory.mktemp("second_sweep")
     save_dataset(root / "scene", experiment_dataset)
     (root / "empty.cfg").write_text("")

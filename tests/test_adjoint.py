@@ -1,6 +1,8 @@
 """Multiplier recursion, parameter gradients, and the finite-difference check."""
 
 import gc
+import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -26,7 +28,13 @@ from stepseg.network import (
     scatter_into,
     select_matrix,
 )
-from stepseg.tensor_ops import activate_deriv, conv2d_adjoint_input
+from stepseg.tensor_ops import (
+    activate,
+    activate_deriv,
+    conv2d,
+    conv2d_adjoint_input,
+    conv2d_adjoint_weights,
+)
 
 from oracles import central_fd, inner
 
@@ -197,6 +205,94 @@ class TestBackward:
         b = backward(trace, relabeled)
         for ga, gb in zip(bundle_stacks(a), bundle_stacks(b)):
             np.testing.assert_array_equal(ga, gb)
+
+
+def checkpoint_indices(n):
+    """The states forward keeps: multiples of k = ceil(sqrt(n)), and n."""
+    k = max(1, math.ceil(math.sqrt(n)))
+    return sorted(set(range(0, n + 1, k)) | {n})
+
+
+def full_trace_gradient(params, data, terminal):
+    """Every state by the plain recursion, then the multiplier sweep over
+    them: the full-trace forward and backward, kept here as the reference.
+    Returns the states, the gradient stacks and the hooked (j, p_j)."""
+    h, act = params.h, params.activation
+    states = [conv2d(data, params.lift)]
+    preacts = []
+    for k in params.layers:
+        preacts.append(conv2d(states[-1], k))
+        states.append(states[-1] - h * activate(preacts[-1], act))
+    n = len(params.layers)
+    p = terminal.multiplier
+    hooked = [(n, p)]
+    layer_grads = [None] * n
+    for j in range(n, 0, -1):
+        k = params.layers[j - 1]
+        weighted = activate_deriv(preacts[j - 1], act) * p
+        layer_grads[j - 1] = -h * conv2d_adjoint_weights(
+            weighted, states[j - 1], k.shape[2], k.shape[3])
+        p = p - h * conv2d_adjoint_input(weighted, k)
+        hooked.append((j - 1, p))
+    grads = [conv2d_adjoint_weights(p, data, 1, 1), *layer_grads,
+             conv2d_adjoint_weights(terminal.output_cotangent, states[n],
+                                    1, 1)]
+    return states, grads, hooked
+
+
+class TestCheckpointReplay:
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3, 4, 5, 9, 10, 17])
+    def test_replay_matches_full_trace_bitwise(self, steps, activation):
+        params, data, q = small_instance(30 + steps, steps=steps, h=0.4,
+                                         activation=activation)
+        trace = forward(params, data)
+        terminal = terminal_multiplier(trace, q, alpha=0.3)
+        states, grads, hooked = full_trace_gradient(params, data, terminal)
+
+        kept = checkpoint_indices(steps)
+        assert len(trace.states) == len(kept)
+        for got, j in zip(trace.states, kept):
+            np.testing.assert_array_equal(got, states[j])
+        replayed = list(trace.reverse_steps())
+        assert [j for j, _, _ in replayed] == list(range(steps, 0, -1))
+        for j, y_prev, z in replayed:
+            np.testing.assert_array_equal(y_prev, states[j - 1])
+            assert z is trace.preacts[j - 1]
+
+        seen = []
+        bundle = backward(trace, terminal,
+                          multiplier_hook=lambda j, p: seen.append(
+                              (j, p.copy())))
+        for got, want in zip(bundle_stacks(bundle), grads, strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert [j for j, _ in seen] == [j for j, _ in hooked]
+        for (_, got), (_, want) in zip(seen, hooked):
+            np.testing.assert_array_equal(got, want)
+
+    def test_gradient_peak_memory_follows_checkpoint_rule(self):
+        # One gradient may hold, in whole (width, H, W) fields: the n
+        # preactivations, the checkpointed states, one replayed segment of
+        # k - 1 states, a working set of 7 (p_n, p_j, the weighted
+        # cotangent, the adjoint convolution's output, two temporaries of
+        # f', and the small output-sized arrays), and a patch-matrix
+        # workspace of kh * kw fields if it has to grow. A full trace of
+        # n + 1 states exceeds this by about 10 fields.
+        steps, width, bands = 16, 8, 3
+        params, data, q = small_instance(41, bands=bands, width=width,
+                                         steps=steps, height=32,
+                                         width_px=32, scale=0.2, h=0.5)
+        k = max(1, math.ceil(math.sqrt(steps)))
+        fields = (steps + len(checkpoint_indices(steps)) + (k - 1) + 7
+                  + 3 * 3)
+        bound = fields * width * 32 * 32 * 8
+        tracemalloc.start()
+        try:
+            gradient(params, data, q, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak / (width * 32 * 32 * 8), fields)
 
 
 class TestGradientAgainstFiniteDifferences:

@@ -84,12 +84,14 @@ class TestGenData:
     @pytest.mark.parametrize("flag,dimension", [("--bands", "channels"),
                                                 ("--classes", "num_classes")])
     def test_zero_dimension_is_named(self, tmp_path, capsys, flag, dimension):
-        code = main(["gen-data", "--seed", "1", *TINY_SCENE, flag, "0",
-                     "--out", str(tmp_path / "scene")])
-        assert code == EXIT_CONFIG_ERROR
-        err = capsys.readouterr().err
-        assert err == f"error: {dimension} must be >= 1, got 0\n"
-        assert "signature" not in err
+        # zero, and a negative value that numpy's draw would reject first
+        for value in ("0", "-1"):
+            code = main(["gen-data", "--seed", "1", *TINY_SCENE, flag, value,
+                         "--out", str(tmp_path / "scene")])
+            assert code == EXIT_CONFIG_ERROR
+            err = capsys.readouterr().err
+            assert err == f"error: {dimension} must be >= 1, got {value}\n"
+            assert "signature" not in err
 
 
 class TestTrain:

@@ -21,6 +21,14 @@ from stepseg.tensor_ops import activate, conv2d
 from oracles import argmax_direct, forward_steps_direct, inner
 
 
+def replayed_states(trace):
+    """y_0..y_n: y_{j-1} for j = n..1 from reverse_steps, then the last
+    checkpoint y_n."""
+    steps = list(trace.reverse_steps())
+    assert [j for j, _, _ in steps] == list(range(len(trace.preacts), 0, -1))
+    return [y for _, y, _ in reversed(steps)] + [trace.states[-1]]
+
+
 def random_params(rng, bands=3, width=4, num_classes=2, steps=2, ksize=3,
                   scale=0.3, h=1.0, activation="tanh"):
     return NetworkParams(
@@ -87,11 +95,13 @@ class TestForward:
         data = rng.standard_normal((3, 6, 5))
         trace = forward(params, data)
         assert isinstance(trace, ForwardTrace)
-        assert len(trace.states) == 4
+        # k = 2 keeps y_0, y_2 and y_3; the accessor gives all four
+        assert len(trace.states) == 3
+        assert len(replayed_states(trace)) == 4
         assert len(trace.preacts) == 3
         assert trace.params is params
         assert trace.output.shape == (2, 6, 5)
-        for y in trace.states:
+        for y in replayed_states(trace):
             assert y.shape == (4, 6, 5)
 
     def test_zero_layers_gives_identity_dynamics(self):
@@ -105,9 +115,9 @@ class TestForward:
                                    project=params.project,
                                    h=params.h, activation=act)
             data = rng.standard_normal((3, 5, 5))
-            trace = forward(params, data)
-            for y in trace.states[1:]:
-                np.testing.assert_array_equal(y, trace.states[0])
+            states = replayed_states(forward(params, data))
+            for y in states[1:]:
+                np.testing.assert_array_equal(y, states[0])
 
     def test_zero_step_size_gives_identity_dynamics(self):
         rng = np.random.default_rng(3)
@@ -116,9 +126,9 @@ class TestForward:
                                project=base.project, h=0.0,
                                activation=base.activation)
         data = rng.standard_normal((3, 5, 5))
-        trace = forward(params, data)
-        for y in trace.states[1:]:
-            np.testing.assert_array_equal(y, trace.states[0])
+        states = replayed_states(forward(params, data))
+        for y in states[1:]:
+            np.testing.assert_array_equal(y, states[0])
 
     def test_matches_stepwise_oracle(self):
         for seed in range(8):
@@ -131,30 +141,33 @@ class TestForward:
             states, out = forward_steps_direct(params.lift, params.layers,
                                                params.project, params.h,
                                                data, act)
-            for got, want in zip(trace.states, states):
+            got_states = replayed_states(trace)
+            assert len(got_states) == len(states)
+            for got, want in zip(got_states, states):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             np.testing.assert_allclose(trace.output, out, rtol=0, atol=1e-12)
 
     def test_states_satisfy_recursion_bitwise(self):
-        # Each stored state is exactly y_{j-1} - h * f(K_j y_{j-1}) recomputed
-        # with the same operations: the trace is the recursion, not an
-        # approximation of it.
+        # Each state from the accessor is exactly y_{j-1} - h * f(K_j y_{j-1})
+        # recomputed with the same operations: the replayed trace is the
+        # recursion, not an approximation of it.
         rng = np.random.default_rng(4)
         params = random_params(rng, steps=4)
         trace = forward(params, rng.standard_normal((3, 7, 6)))
+        states = replayed_states(trace)
         for j, k in enumerate(params.layers):
-            step = params.h * activate(conv2d(trace.states[j], k),
+            step = params.h * activate(conv2d(states[j], k),
                                        params.activation)
-            np.testing.assert_array_equal(trace.states[j + 1],
-                                          trace.states[j] - step)
+            np.testing.assert_array_equal(states[j + 1], states[j] - step)
 
     def test_preacts_match_recomputation(self):
         rng = np.random.default_rng(5)
         params = random_params(rng, steps=3)
         trace = forward(params, rng.standard_normal((3, 6, 6)))
-        for j, k in enumerate(params.layers):
-            np.testing.assert_array_equal(trace.preacts[j],
-                                          conv2d(trace.states[j], k))
+        for j, y_prev, z in trace.reverse_steps():
+            assert z is trace.preacts[j - 1]
+            np.testing.assert_array_equal(z, conv2d(y_prev,
+                                                    params.layers[j - 1]))
 
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(6)

@@ -1,5 +1,7 @@
 """Convolution core, adjoints, activations, and FTF1 file round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,6 +235,53 @@ class TestPatchBands:
         monkeypatch.setattr(tensor_ops, "_BAND_BYTES", 2**62)
         for got, want in zip(banded, conv_results(x, u, k)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_results_survive_workspace_reuse(self, band_bytes, monkeypatch,
+                                             kh, kw):
+        # a result is its own array: later convolutions that gather other
+        # shapes into the shared workspace leave it as it was
+        monkeypatch.setattr(tensor_ops, "_workspace", np.empty(0))
+        x, u, k = band_operands(kh, kw, seed=3)
+        results = conv_results(x, u, k)
+        kept = [r.copy() for r in results]
+        conv2d(np.random.default_rng(4).standard_normal((3, 9, 6)), k)
+        conv_results(u[:, :4], x[:, :4], np.ascontiguousarray(
+            k.swapaxes(0, 1)))
+        for got, want in zip(results, kept):
+            np.testing.assert_array_equal(got, want)
+            assert not np.shares_memory(got, tensor_ops._workspace)
+
+
+def test_workspace_grows_to_one_band_and_is_reused(monkeypatch):
+    monkeypatch.setattr(tensor_ops, "_workspace", np.empty(0))
+    monkeypatch.setattr(tensor_ops, "_BAND_BYTES", 2500)
+    x, u, k = band_operands(3, 3)
+    conv2d(x, k)
+    workspace = tensor_ops._workspace
+    # two of the field's seven rows per band: one band, not the whole matrix
+    assert workspace.size == 3 * 9 * 2 * 5
+    conv_results(x, u, k)
+    conv2d(x[:, :3], k)
+    assert tensor_ops._workspace is workspace
+    # a wider field's one-row band is larger, so the workspace grows to it
+    conv2d(np.zeros((3, 7, 20)), k)
+    assert tensor_ops._workspace.size == 3 * 9 * 1 * 20
+
+
+def test_convolution_allocates_only_its_output():
+    # no patch buffer and no padded copy: once the workspace has grown, a
+    # 3x3 conv2d allocates its output and a few small views
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((4, 40, 40))
+    k = rng.standard_normal((4, 4, 3, 3))
+    out = conv2d(x, k)
+    tracemalloc.start()
+    try:
+        conv2d(x, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + x.nbytes // 4
 
 
 def test_acceptance_field_is_one_band():

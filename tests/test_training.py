@@ -1,6 +1,7 @@
 """Training loop, config parsing, evaluation, and the alpha sweep."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -471,13 +472,15 @@ class TestSweep:
             "diverged=2/2\n")
 
     def test_jobs_clamped_to_cells_and_cpus(self, monkeypatch):
-        # a stand-in executor records max_workers and runs the cells inline,
-        # so no worker process is ever started
+        # a stand-in executor records max_workers, the start method and the
+        # BLAS thread count its workers would inherit, and runs the cells
+        # inline, so no worker process is ever started
         started = []
 
         class InlinePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+            def __init__(self, max_workers, mp_context):
+                started.append((max_workers, mp_context.get_start_method(),
+                                os.environ.get("OPENBLAS_NUM_THREADS")))
 
             def __enter__(self):
                 return self
@@ -495,12 +498,14 @@ class TestSweep:
 
         monkeypatch.setattr(stepseg.training, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(stepseg.training, "_run_one", fake_run)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         cpus = [4]
         monkeypatch.setattr(stepseg.training.os, "cpu_count", lambda: cpus[0])
-        cases = [  # (jobs, alphas, seeds, cpu count) -> workers started
-            ((1000, [0.0, 0.1, 0.2], [1], 4), 3),
-            ((1000, [0.0, 0.1, 0.2], [1, 2], 4), 4),
-            ((2, [0.0, 0.1, 0.2], [1, 2], 4), 2),
+        cases = [  # (jobs, alphas, seeds, cpu count) -> (workers, threads)
+            ((1000, [0.0, 0.1, 0.2], [1], 4), (3, "1")),
+            ((1000, [0.0, 0.1, 0.2], [1, 2], 4), (4, "1")),
+            ((2, [0.0, 0.1, 0.2], [1, 2], 4), (2, "2")),
+            ((3, [0.0, 0.1, 0.2], [1, 2], 8), (3, "2")),
             ((1000, [0.0, 0.1], [1, 2], None), None),
             ((1, [0.0, 0.1], [1, 2], 4), None),
             ((1000, [0.0], [1], 4), None),
@@ -509,8 +514,16 @@ class TestSweep:
             started.clear()
             cpus[0] = cpu
             result = sweep(tiny_config(), alphas, seeds, None, jobs=jobs)
-            assert started == ([] if want is None else [want])
+            assert started == ([] if want is None
+                               else [(want[0], "spawn", want[1])])
             assert len(result.records) == len(alphas) * len(seeds)
+            assert "OPENBLAS_NUM_THREADS" not in os.environ
+        # a thread count the caller set is passed on as it is, and kept
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        started.clear()
+        sweep(tiny_config(), [0.0, 0.1], [1], None, jobs=2)
+        assert started == [(2, "spawn", "3")]
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
     def test_parallel_equals_sequential(self):
         cfg = tiny_config(iterations=2)
