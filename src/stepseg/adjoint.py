@@ -19,9 +19,10 @@ and runs backward, yielding each kernel gradient on the fly:
 
 Only the current multiplier pair is alive at any point in the sweep;
 alpha enters the recursion solely through the terminal cotangent. The
-sweep reads y_{j-1} and z_j = K_j y_{j-1} from ForwardTrace.reverse_steps,
-which replays the states between the trace's checkpoints, so it holds at
-most one segment of states beyond the trace and recomputes no convolution.
+sweep reads y_{j-1} and a_j = f(K_j y_{j-1}) from ForwardTrace.reverse_steps,
+which replays the states between the trace's checkpoints, and f' from a_j, so
+it holds at most one segment of states beyond the trace and recomputes no
+convolution and no activation.
 """
 
 from __future__ import annotations
@@ -118,17 +119,16 @@ def backward(trace: ForwardTrace, terminal: AdjointState,
     """
     params = trace.params
     n = len(params.layers)
-    h = params.h
-    act = params.activation
+    h, act = params.h, params.activation
     project_grad = conv2d_adjoint_weights(terminal.output_cotangent,
                                           trace.states[-1], 1, 1)
     p = terminal.multiplier
     if multiplier_hook is not None:
         multiplier_hook(n, p)
     layer_grads: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for j, y_prev, z in trace.reverse_steps():
+    for j, y_prev, a in trace.reverse_steps():
         k = params.layers[j - 1]
-        weighted = activate_deriv(z, act)
+        weighted = activate_deriv(a, act)
         weighted *= p
         layer_grads[j - 1] = -h * conv2d_adjoint_weights(
             weighted, y_prev, k.shape[2], k.shape[3])

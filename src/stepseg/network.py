@@ -10,9 +10,9 @@ A network with n residual layers maps a (bands, H, W) field to a
 where K_j y denotes same-size zero-padded convolution and f is a pointwise
 activation. The multiplier sweep needs every state, but the trace keeps only
 the checkpoints y_0, y_k, y_2k, ... and y_n (k = ceil(sqrt(n))) beside every
-preactivation z_j = K_j y_{j-1}. Since y_j follows from y_{j-1} and z_j alone,
-ForwardTrace.reverse_steps replays the states between two checkpoints with
-the forward pass's own elementwise step, bit for bit and with no convolution.
+activation a_j = f(K_j y_{j-1}). Since y_j = y_{j-1} - h a_j, reverse_steps
+replays the states between two checkpoints with forward's own elementwise
+step, bit for bit, with no convolution and no activation call.
 """
 
 from __future__ import annotations
@@ -90,21 +90,19 @@ def _checkpoint_stride(n: int) -> int:
     return 1 + math.isqrt(n - 1) if n else 1
 
 
-def _step(y_prev: np.ndarray, z: np.ndarray, h: float,
-          activation: str) -> np.ndarray:
-    """y_j = y_{j-1} - h * f(z_j), computed in f(z_j)'s own buffer."""
-    y = activate(z, activation)
-    y *= h
+def _step(y_prev: np.ndarray, a: np.ndarray, h: float) -> np.ndarray:
+    """y_j = y_{j-1} - h * a_j: the product h * a_j, then the difference."""
+    y = a * h
     return np.subtract(y_prev, y, out=y)
 
 
 @dataclass(frozen=True)
 class ForwardTrace:
     """Everything the backward sweep needs: the params that produced it,
-    the input, the checkpointed states, every preactivation and the
+    the input, the checkpointed states, every activation and the
     projected output.
 
-    preacts holds z_j = K_j y_{j-1} for j = 1..n. states holds y_j for
+    activations holds a_j = f(K_j y_{j-1}) for j = 1..n. states holds y_j for
     j = 0, k, 2k, ... and j = n, with k = ceil(sqrt(n)), so
     states[-1] is always y_n. reverse_steps gives the states in between.
     """
@@ -112,27 +110,29 @@ class ForwardTrace:
     params: NetworkParams
     data: np.ndarray
     states: tuple[np.ndarray, ...]
-    preacts: tuple[np.ndarray, ...]
+    activations: tuple[np.ndarray, ...]
     output: np.ndarray
+    # read-only alias of activations, only for perfbench/spans.py's byte count
+    preacts = property(lambda self: self.activations)
 
     def reverse_steps(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Yield (j, y_{j-1}, z_j) for j = n down to 1.
+        """Yield (j, y_{j-1}, a_j) for j = n down to 1.
 
         Each segment between two checkpoints is replayed forward from its
         first checkpoint with forward's own step, so every y_{j-1} is
         bitwise the state forward computed. At most one segment of
         replayed states is alive, and each is released once yielded.
         """
-        n = len(self.preacts)
+        n = len(self.activations)
         k = _checkpoint_stride(n)
-        h, act = self.params.h, self.params.activation
+        h = self.params.h
         for c in range(len(self.states) - 2, -1, -1):
             start, stop = c * k, min(c * k + k, n)
             segment = [self.states[c]]
             for j in range(start + 1, stop):
-                segment.append(_step(segment[-1], self.preacts[j - 1], h, act))
+                segment.append(_step(segment[-1], self.activations[j - 1], h))
             for j in range(stop, start, -1):
-                yield j, segment.pop(), self.preacts[j - 1]
+                yield j, segment.pop(), self.activations[j - 1]
 
 
 def _check_finite(field: np.ndarray, where: str):
@@ -141,7 +141,7 @@ def _check_finite(field: np.ndarray, where: str):
 
 
 def forward(params: NetworkParams, data: np.ndarray) -> ForwardTrace:
-    """Run the network on a (bands, H, W) field, keeping every preactivation
+    """Run the network on a (bands, H, W) field, keeping every activation
     and the checkpointed states (see ForwardTrace)."""
     data = as_field(data)
     if data.shape[0] != params.bands:
@@ -152,18 +152,18 @@ def forward(params: NetworkParams, data: np.ndarray) -> ForwardTrace:
     y = conv2d(data, params.lift)
     _check_finite(y, "lift")
     states = [y]
-    preacts = []
+    activations = []
     for j, kernel in enumerate(params.layers, start=1):
-        z = conv2d(y, kernel)
-        y = _step(y, z, params.h, params.activation)
+        a = conv2d(y, kernel)  # z_j, overwritten by a_j = f(z_j)
+        activations.append(activate(a, params.activation, out=a))
+        y = _step(y, a, params.h)
         _check_finite(y, f"layer {j - 1}")
         if j % k == 0 or j == n:
             states.append(y)
-        preacts.append(z)
     output = conv2d(y, params.project)
     _check_finite(output, "project")
     return ForwardTrace(params=params, data=data, states=tuple(states),
-                        preacts=tuple(preacts), output=output)
+                        activations=tuple(activations), output=output)
 
 
 def predict_classes(output: np.ndarray) -> np.ndarray:
@@ -263,15 +263,25 @@ def save_params(directory, params: NetworkParams):
 
 def load_params(directory) -> NetworkParams:
     directory = Path(directory)
-    manifest = parse_key_values((directory / "manifest.txt").read_text(),
-                                _MANIFEST_KEYS, "manifest")
+    path = directory / "manifest.txt"
+    manifest = parse_key_values(path.read_text(), _MANIFEST_KEYS, "manifest")
     missing = [k for k in _MANIFEST_KEYS if k not in manifest]
     if missing:
-        raise ValueError(f"manifest missing keys {missing}")
-    bands = int(manifest["bands"])
-    width = int(manifest["width"])
-    num_classes = int(manifest["num_classes"])
-    steps = int(manifest["n"])
+        raise ValueError(f"{path}: missing keys {missing}")
+
+    def count(key: str, least: int) -> int:
+        try:
+            value = int(manifest[key])
+        except ValueError:
+            raise ValueError(f"{path}: {key} must be an integer, "
+                             f"got {manifest[key]!r}") from None
+        if value < least:
+            raise ValueError(f"{path}: {key} must be >= {least}, got {value}")
+        return value
+
+    bands, width, num_classes = (count(key, 1) for key in
+                                 ("bands", "width", "num_classes"))
+    steps = count("n", 0)
 
     def read_stack(name: str, o: int, i: int) -> np.ndarray:
         flat = read_ftf(directory / name)

@@ -81,9 +81,11 @@ def make_scene_spec(seed: int, height: int = 64, width: int = 64,
     signature accuracy around 0.65, low enough that spatial smoothing of
     the prediction has headroom to help.
     """
-    # before the signatures, whose draw fails on a negative dimension
+    # before the signatures, whose draw fails on a negative dimension or seed
     _check_dimensions(height=height, width=width, channels=channels,
                       num_classes=num_classes)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     return SceneSpec(seed=seed, height=height, width=width, channels=channels,
                      num_classes=num_classes, blob_count=blob_count,
                      noise_sigma=noise_sigma,

@@ -145,12 +145,11 @@ def conv2d_adjoint_weights(cotangent: np.ndarray, x: np.ndarray,
     return grad.reshape(c_out, c_in, kh, kw)
 
 
-# Activation registry: kind -> (value, derivative). ReLU' at 0 is defined as 0.
+# Activation registry: kind -> (f(z), f'(z) from a = f(z)); relu'(0) is 0.
 _ACTIVATIONS = {
-    "relu": (lambda z: np.maximum(z, 0.0),
-             lambda z: (z > 0.0).astype(np.float64)),
-    "tanh": (np.tanh,
-             lambda z: 1.0 - np.tanh(z) ** 2),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out),
+             lambda a: (a > 0.0).astype(np.float64)),
+    "tanh": (np.tanh, lambda a: np.subtract(1.0, d := np.square(a), out=d)),
 }
 
 ACTIVATION_KINDS = tuple(sorted(_ACTIVATIONS))
@@ -163,12 +162,13 @@ def _lookup(kind: str):
         raise ValueError(f"unknown activation {kind!r}, expected one of {ACTIVATION_KINDS}")
 
 
-def activate(x: np.ndarray, kind: str) -> np.ndarray:
-    return _lookup(kind)[0](x)
+def activate(z: np.ndarray, kind: str, out=None) -> np.ndarray:
+    return _lookup(kind)[0](z, out=out)
 
 
-def activate_deriv(x: np.ndarray, kind: str) -> np.ndarray:
-    return _lookup(kind)[1](x)
+def activate_deriv(a: np.ndarray, kind: str) -> np.ndarray:
+    """f'(z) from a = f(z): 1 - a**2 or [a > 0], with no transcendental call."""
+    return _lookup(kind)[1](a)
 
 
 def write_ftf(path, field: np.ndarray) -> None:

@@ -134,7 +134,7 @@ def test_criterion_2_assembled_state_gradient_is_zero(experiment_dataset):
     residual = 0.0 if np.array_equal(seen[10], top) else float(
         np.max(np.abs(seen[10] - top)))
     for j in range(10, 0, -1):
-        weighted = activate_deriv(trace.preacts[j - 1],
+        weighted = activate_deriv(trace.activations[j - 1],
                                   params.activation) * seen[j]
         stepped = seen[j] - params.h * conv2d_adjoint_input(
             weighted, params.layers[j - 1])

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stepseg.network
 import stepseg.regularizer
+import stepseg.tensor_ops
 from stepseg.adjoint import (
     AdjointState,
     GradientBundle,
@@ -171,7 +173,7 @@ class TestBackward:
             seen[4], conv2d_adjoint_input(terminal.output_cotangent,
                                           params.project))
         for j in range(4, 0, -1):
-            weighted = activate_deriv(trace.preacts[j - 1],
+            weighted = activate_deriv(trace.activations[j - 1],
                                       params.activation) * seen[j]
             stepped = seen[j] - params.h * conv2d_adjoint_input(
                 weighted, params.layers[j - 1])
@@ -219,17 +221,17 @@ def full_trace_gradient(params, data, terminal):
     Returns the states, the gradient stacks and the hooked (j, p_j)."""
     h, act = params.h, params.activation
     states = [conv2d(data, params.lift)]
-    preacts = []
+    activations = []
     for k in params.layers:
-        preacts.append(conv2d(states[-1], k))
-        states.append(states[-1] - h * activate(preacts[-1], act))
+        activations.append(activate(conv2d(states[-1], k), act))
+        states.append(states[-1] - h * activations[-1])
     n = len(params.layers)
     p = terminal.multiplier
     hooked = [(n, p)]
     layer_grads = [None] * n
     for j in range(n, 0, -1):
         k = params.layers[j - 1]
-        weighted = activate_deriv(preacts[j - 1], act) * p
+        weighted = activate_deriv(activations[j - 1], act) * p
         layer_grads[j - 1] = -h * conv2d_adjoint_weights(
             weighted, states[j - 1], k.shape[2], k.shape[3])
         p = p - h * conv2d_adjoint_input(weighted, k)
@@ -256,9 +258,9 @@ class TestCheckpointReplay:
             np.testing.assert_array_equal(got, states[j])
         replayed = list(trace.reverse_steps())
         assert [j for j, _, _ in replayed] == list(range(steps, 0, -1))
-        for j, y_prev, z in replayed:
+        for j, y_prev, a in replayed:
             np.testing.assert_array_equal(y_prev, states[j - 1])
-            assert z is trace.preacts[j - 1]
+            assert a is trace.activations[j - 1]
 
         seen = []
         bundle = backward(trace, terminal,
@@ -270,12 +272,35 @@ class TestCheckpointReplay:
         for (_, got), (_, want) in zip(seen, hooked):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    def test_activate_runs_only_in_forward(self, monkeypatch, activation):
+        # forward evaluates f once per step; the replay reads y_j from a_j
+        # and f' is read from a_j, so backward evaluates no activation
+        params, data, q = small_instance(50, steps=10, activation=activation)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return activate(*args, **kwargs)
+
+        monkeypatch.setattr(stepseg.network, "activate", counted)
+        monkeypatch.setattr(stepseg.tensor_ops, "activate", counted)
+        trace = forward(params, data)
+        assert calls == [activation] * 10
+        terminal = terminal_multiplier(trace, q, alpha=0.3)
+        calls.clear()
+        bundle = backward(trace, terminal)
+        assert calls == []
+        assert len(bundle.layers) == 10
+
     def test_gradient_peak_memory_follows_checkpoint_rule(self):
         # One gradient may hold, in whole (width, H, W) fields: the n
-        # preactivations, the checkpointed states, one replayed segment of
+        # activations, the checkpointed states, one replayed segment of
         # k - 1 states, a working set of 7 (p_n, p_j, the weighted
-        # cotangent, the adjoint convolution's output, two temporaries of
-        # f', and the small output-sized arrays), and a patch-matrix
+        # cotangent, the adjoint convolution's output, the one temporary of
+        # f' read from a_j, the small output-sized arrays, and one spare
+        # field: f' from z_j made two temporaries, and the measured peak
+        # did not fall when the second went), and a patch-matrix
         # workspace of kh * kw fields if it has to grow. A full trace of
         # n + 1 states exceeds this by about 10 fields.
         steps, width, bands = 16, 8, 3
@@ -357,7 +382,10 @@ class TestGradientAgainstFiniteDifferences:
         params, data, q = small_instance(16, width=2, steps=2, height=5,
                                          width_px=4, activation="relu")
         trace = forward(params, data)
-        margin = min(float(np.min(np.abs(z))) for z in trace.preacts)
+        # the activations hide negative z_j, so recompute z_j = K_j y_{j-1}
+        margin = min(
+            float(np.min(np.abs(conv2d(y_prev, params.layers[j - 1]))))
+            for j, y_prev, _ in trace.reverse_steps())
         assert margin > 1e-4, "fixture drifted onto the relu kink"
         self.assert_full_fd_match(params, data, q, alpha=0.2,
                                   step=1e-7, tol=1e-5)

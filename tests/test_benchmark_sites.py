@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from stepseg import adjoint, synth, training
+from stepseg import adjoint, network, synth, training
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -63,3 +63,17 @@ def test_traced_train_and_gradient_record_every_span(spans):
             for c in counts), name
     # two gradient calls inside train, one outside it
     assert [call[0] for call in recorder.grad_calls] == [1, 1, None]
+
+
+def test_trace_count_is_the_bytes_the_trace_holds(spans):
+    # network.trace_mib reads the trace through the preacts alias; it must
+    # still sum exactly the arrays the trace keeps
+    data, truth = synth.gen_scene(synth.make_scene_spec(
+        seed=3, height=8, width=8, channels=3))
+    params = training.init_params(bands=3, num_classes=2, width=4, steps=5,
+                                  activation="tanh", h=1.0, seed=0)
+    trace = network.forward(params, data)
+    held = (trace.data, trace.output, *trace.states, *trace.activations)
+    assert spans._trace_counts((params, data), trace) == (
+        sum(a.nbytes for a in held),)
+    assert len(trace.activations) == 5 and len(trace.states) == 3

@@ -94,6 +94,14 @@ class TestGenData:
             assert "signature" not in err
 
 
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        code = main(["gen-data", "--seed", "-1", *TINY_SCENE,
+                     "--out", str(tmp_path / "scene")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "scene").exists()
+
+
 class TestTrain:
     def test_writes_params_history_status(self, tmp_path, scene_dir, capsys):
         cfg = write_config(tmp_path)
@@ -283,6 +291,26 @@ class TestEval:
         assert capsys.readouterr().err == (
             f"error: {scene / 'truth.lbl'}: header is 8x8, data.ftf is 16x16\n")
 
+    @pytest.mark.parametrize("line,message", [
+        ("n=-1", "n must be >= 0, got -1"),
+        ("width=x", "width must be an integer, got 'x'")])
+    def test_bad_manifest_count_is_named(self, tmp_path, scene_dir, capsys,
+                                         line, message):
+        # a negative n once loaded as a zero-layer network and scored
+        params = tmp_path / "params"
+        save_params(params, init_params(bands=3, num_classes=2, width=4,
+                                        steps=2, activation="tanh", h=1.0,
+                                        seed=1))
+        manifest = params / "manifest.txt"
+        manifest.write_text(manifest.read_text() + line + "\n")
+        capsys.readouterr()
+        code = main(["eval", "--params", str(params),
+                     "--data", str(scene_dir), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {manifest}: {message}\n"
+        assert captured.out == ""
+
     def test_missing_params_dir_is_config_error(self, tmp_path, scene_dir):
         code = main(["eval", "--params", str(tmp_path / "nope"),
                      "--data", str(scene_dir), "--out", str(tmp_path / "o")])
@@ -301,6 +329,10 @@ class TestGradcheck:
 
     def test_alpha_zero_also_passes(self, capsys):
         assert main(["gradcheck", "--seed", "1", "--alpha", "0"]) == EXIT_OK
+
+    def test_negative_seed_is_named(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
     def test_threshold_failure_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(stepseg.cli, "gradcheck",

@@ -25,7 +25,8 @@ def replayed_states(trace):
     """y_0..y_n: y_{j-1} for j = n..1 from reverse_steps, then the last
     checkpoint y_n."""
     steps = list(trace.reverse_steps())
-    assert [j for j, _, _ in steps] == list(range(len(trace.preacts), 0, -1))
+    assert [j for j, _, _ in steps] == list(range(len(trace.activations), 0,
+                                                  -1))
     return [y for _, y, _ in reversed(steps)] + [trace.states[-1]]
 
 
@@ -98,7 +99,8 @@ class TestForward:
         # k = 2 keeps y_0, y_2 and y_3; the accessor gives all four
         assert len(trace.states) == 3
         assert len(replayed_states(trace)) == 4
-        assert len(trace.preacts) == 3
+        assert len(trace.activations) == 3
+        assert trace.preacts is trace.activations
         assert trace.params is params
         assert trace.output.shape == (2, 6, 5)
         for y in replayed_states(trace):
@@ -161,13 +163,16 @@ class TestForward:
             np.testing.assert_array_equal(states[j + 1], states[j] - step)
 
     def test_preacts_match_recomputation(self):
+        # the trace keeps a_j = f(K_j y_{j-1}), bitwise the activation of
+        # the preactivation recomputed from the replayed state
         rng = np.random.default_rng(5)
-        params = random_params(rng, steps=3)
-        trace = forward(params, rng.standard_normal((3, 6, 6)))
-        for j, y_prev, z in trace.reverse_steps():
-            assert z is trace.preacts[j - 1]
-            np.testing.assert_array_equal(z, conv2d(y_prev,
-                                                    params.layers[j - 1]))
+        for act in ("tanh", "relu"):
+            params = random_params(rng, steps=3, activation=act)
+            trace = forward(params, rng.standard_normal((3, 6, 6)))
+            for j, y_prev, a in trace.reverse_steps():
+                assert a is trace.activations[j - 1]
+                np.testing.assert_array_equal(
+                    a, activate(conv2d(y_prev, params.layers[j - 1]), act))
 
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(6)
@@ -406,6 +411,21 @@ class TestSaveLoad:
             manifest.write_text(text + extra)
             with pytest.raises(ValueError, match="unknown manifest line"):
                 load_params(tmp_path / "net")
+
+    @pytest.mark.parametrize("line,message", [
+        ("n=-1", "n must be >= 0, got -1"),
+        ("bands=0", "bands must be >= 1, got 0"),
+        ("width=0", "width must be >= 1, got 0"),
+        ("num_classes=-2", "num_classes must be >= 1, got -2"),
+        ("n=2.0", "n must be an integer, got '2.0'"),
+        ("width=x", "width must be an integer, got 'x'")])
+    def test_bad_manifest_count_rejected(self, tmp_path, line, message):
+        save_params(tmp_path / "net", random_params(np.random.default_rng(17)))
+        manifest = tmp_path / "net" / "manifest.txt"
+        manifest.write_text(manifest.read_text() + line + "\n")
+        with pytest.raises(ValueError) as info:
+            load_params(tmp_path / "net")
+        assert str(info.value) == f"{manifest}: {message}"
 
     def test_wrong_kernel_count_rejected(self, tmp_path):
         params = random_params(np.random.default_rng(18), width=4)

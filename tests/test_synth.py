@@ -49,6 +49,12 @@ class TestSceneSpec:
         with pytest.raises(ValueError, match="blob_count"):
             make_scene_spec(seed=0, blob_count=-1)
 
+    def test_negative_seed_rejected(self):
+        # before numpy's seeding, whose message does not name the seed
+        with pytest.raises(ValueError) as info:
+            make_scene_spec(seed=-1)
+        assert str(info.value) == "seed must be >= 0, got -1"
+
     def test_signatures_depend_only_on_seed_and_scale(self):
         a = random_signatures(2, 16, scale=1.0, seed=7)
         b = random_signatures(2, 16, scale=2.0, seed=7)

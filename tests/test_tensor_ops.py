@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from stepseg import tensor_ops
 from stepseg.tensor_ops import (
+    ACTIVATION_KINDS,
     ShapeMismatchError,
     activate,
     activate_deriv,
@@ -299,16 +300,16 @@ class TestActivations:
         x = np.array([[[1.0]]])
         assert activate(x, "tanh")[0, 0, 0] == pytest.approx(
             0.7615941559557649, abs=1e-16)
-        assert activate_deriv(x, "tanh")[0, 0, 0] == pytest.approx(
-            0.41997434161402614, abs=1e-16)
+        assert activate_deriv(activate(x, "tanh"), "tanh")[0, 0, 0] == \
+            pytest.approx(0.41997434161402614, abs=1e-16)
 
     def test_relu_values(self):
         x = np.array([[[-2.0, 0.0, 3.0]]])
         np.testing.assert_array_equal(activate(x, "relu"),
                                       [[[0.0, 0.0, 3.0]]])
         # subgradient convention: relu'(0) == 0
-        np.testing.assert_array_equal(activate_deriv(x, "relu"),
-                                      [[[0.0, 0.0, 1.0]]])
+        np.testing.assert_array_equal(
+            activate_deriv(activate(x, "relu"), "relu"), [[[0.0, 0.0, 1.0]]])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -317,10 +318,29 @@ class TestActivations:
     @settings(max_examples=50, deadline=None)
     @given(v=st.floats(-20, 20, allow_nan=False))
     def test_tanh_deriv_consistent_with_value(self, v):
+        # sech^2 is tanh' by another route; 1 - t*t loses digits as |v| grows
         x = np.array([[[v]]])
-        d = activate_deriv(x, "tanh")[0, 0, 0]
-        t = activate(x, "tanh")[0, 0, 0]
-        assert d == pytest.approx(1.0 - t * t, rel=1e-12, abs=1e-12)
+        d = activate_deriv(activate(x, "tanh"), "tanh")[0, 0, 0]
+        assert d == pytest.approx(1.0 / np.cosh(v) ** 2, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.floats(-20, 20), max_size=12))
+    def test_deriv_from_activation_is_bitwise_deriv_from_z(self, values):
+        # f' read from a = f(z) is the same operations on the same values
+        # as f' from z: bitwise 1 - tanh(z)**2, and [a > 0] == [z > 0] at
+        # 0, -0.0 and NaN too
+        z = np.array([[values + [0.0, -0.0, 20.0, -20.0, np.nan]]])
+        tanh_d = activate_deriv(activate(z, "tanh"), "tanh")
+        assert tanh_d.tobytes() == (1 - np.tanh(z) ** 2).tobytes()
+        relu_d = activate_deriv(activate(z, "relu"), "relu")
+        assert relu_d.tobytes() == (z > 0).astype(np.float64).tobytes()
+
+    def test_activate_writes_into_out(self):
+        for kind in ACTIVATION_KINDS:
+            z = np.array([[[-2.0, 0.5, 3.0]]])
+            want = activate(z, kind)
+            assert activate(z, kind, out=z) is z
+            assert z.tobytes() == want.tobytes()
 
 
 class TestFtfFiles:
