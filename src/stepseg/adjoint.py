@@ -123,6 +123,10 @@ def backward(trace: ForwardTrace, terminal: AdjointState,
     project_grad = conv2d_adjoint_weights(terminal.output_cotangent,
                                           trace.states[-1], 1, 1)
     p = terminal.multiplier
+    loss, reg_value, alpha = terminal.loss, terminal.reg_value, terminal.alpha
+    # p_n and the output cotangent are freed once used, unless the caller
+    # keeps the terminal state
+    del terminal
     if multiplier_hook is not None:
         multiplier_hook(n, p)
     layer_grads: list[np.ndarray] = [None] * n  # type: ignore[list-item]
@@ -140,8 +144,8 @@ def backward(trace: ForwardTrace, terminal: AdjointState,
             multiplier_hook(j - 1, p)
     lift_grad = conv2d_adjoint_weights(p, trace.data, 1, 1)
     return GradientBundle(lift=lift_grad, layers=tuple(layer_grads),
-                          project=project_grad, loss=terminal.loss,
-                          regularizer=terminal.reg_value, alpha=terminal.alpha)
+                          project=project_grad, loss=loss,
+                          regularizer=reg_value, alpha=alpha)
 
 
 def gradient(params: NetworkParams, data: np.ndarray, q: SelectionSet,

@@ -88,10 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_size(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"--size must look like 64x64, got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        height, width = (int(part) for part in text.lower().split("x"))
+    except ValueError:
+        raise ValueError(f"--size must look like 64x64, got {text!r}") from None
+    return height, width
 
 
 def _cmd_gen_data(args) -> int:

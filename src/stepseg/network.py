@@ -282,6 +282,17 @@ def load_params(directory) -> NetworkParams:
     bands, width, num_classes = (count(key, 1) for key in
                                  ("bands", "width", "num_classes"))
     steps = count("n", 0)
+    try:
+        h = float(manifest["h"])
+    except ValueError:
+        h = math.nan
+    if not math.isfinite(h):
+        raise ValueError(f"{path}: h must be a finite number, "
+                         f"got {manifest['h']!r}")
+    activation = manifest["activation"]
+    if activation not in ACTIVATION_KINDS:
+        raise ValueError(f"{path}: activation must be one of "
+                         f"{ACTIVATION_KINDS}, got {activation!r}")
 
     def read_stack(name: str, o: int, i: int) -> np.ndarray:
         flat = read_ftf(directory / name)
@@ -294,6 +305,6 @@ def load_params(directory) -> NetworkParams:
         layers=tuple(read_stack(f"layer_{j:03d}.ftf", width, width)
                      for j in range(steps)),
         project=read_stack("project.ftf", num_classes, width),
-        h=float(manifest["h"]),
-        activation=manifest["activation"],
+        h=h,
+        activation=activation,
     )

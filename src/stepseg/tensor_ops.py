@@ -12,13 +12,10 @@ deterministic. A convolution gathers its patch matrix in bands of whole
 output rows, at most _BAND_BYTES each, with one BLAS matmul per band. A
 patch matrix that fits one band (64x64 at width 32) gets a single matmul;
 with several bands, results may move in the last bits (BLAS column
-blocking, and the weight gradient's per-band partial sums). Each band is
-copied straight from the unpadded field into one module-level workspace,
-with zeros written only where a shifted block reaches into the padding, so
-a convolution allocates no patch buffer and no padded copy of its input.
-The workspace only grows, to the largest band asked for, and is shared by
-every convolution in the process, so no two may run at once in threads of
-one process.
+blocking, and the weight gradient's per-band partial sums). Each call
+owns its scratch, freed when it returns: one band, and one zero-bordered
+slab that holds a band's rows of the field plus their halo and is copied
+into the band through a sliding-window view.
 """
 
 from __future__ import annotations
@@ -26,6 +23,7 @@ from __future__ import annotations
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 FTF_MAGIC = b"FTF1"
 _FTF_HEADER = 28  # magic, then three u64 dims
@@ -56,45 +54,32 @@ def as_kernel_stack(weights) -> np.ndarray:
 # patch-matrix bytes per band, so a band's gather is re-read from cache
 _BAND_BYTES = 10 * 2**20
 
-# the one buffer every band is gathered into; it grows to the largest band
-# asked for so far and is never freed
-_workspace = np.empty(0)
-
 
 def _patch_bands(x: np.ndarray, kh: int, kw: int):
     """Yield (start, stop, cols) per band of whole output rows: pixels start:stop
     and their zero-padded (C*kh*kw, stop - start) patch matrix, rows ordered
-    (c, a, b). Every band is gathered straight from x into the module's
-    workspace, so cols is valid only until the next band or convolution."""
-    global _workspace
+    (c, a, b). Every band is gathered into one buffer owned by this call, so
+    cols is valid only until the next band of the same call."""
     channels, height, width = x.shape
     if kh == 1 and kw == 1:
         yield 0, height * width, x.reshape(channels, height * width)
         return
     ph, pw = kh // 2, kw // 2
     rows = max(1, min(height, _BAND_BYTES // (channels * kh * kw * width * 8)))
-    if _workspace.size < channels * kh * kw * rows * width:
-        _workspace = np.empty(channels * kh * kw * rows * width)
+    band = np.empty(channels * kh * kw * rows * width)
+    # slab row i holds field row r0 - ph + i; its border columns stay zero
+    slab = np.zeros((channels, rows + 2 * ph, width + 2 * pw))
     for r0 in range(0, height, rows):
         r1 = min(r0 + rows, height)
-        cols = _workspace[:channels * kh * kw * (r1 - r0) * width].reshape(
-            channels, kh * kw, r1 - r0, width)
-        for a in range(kh):
-            # band rows top:bottom read field rows r0 + top + a - ph onwards;
-            # the rest lie in the zero padding above or below the field
-            top = min(r1 - r0, max(0, ph - a - r0))
-            bottom = max(top, min(r1 - r0, height + ph - a - r0))
-            for b in range(kw):
-                left = min(width, max(0, pw - b))
-                right = max(left, min(width, width + pw - b))
-                block = cols[:, a * kw + b]
-                block[:, :top] = 0.0
-                block[:, bottom:] = 0.0
-                block[:, top:bottom, :left] = 0.0
-                block[:, top:bottom, right:] = 0.0
-                block[:, top:bottom, left:right] = x[
-                    :, r0 + top + a - ph:r0 + bottom + a - ph,
-                    left + b - pw:right + b - pw]
+        top, bottom = max(0, ph - r0), min(r1 + ph, height) - r0 + ph
+        slab[:, :top] = 0.0
+        slab[:, top:bottom, pw:pw + width] = x[:, r0 - ph + top:r0 - ph + bottom]
+        slab[:, bottom:] = 0.0
+        windows = sliding_window_view(slab[:, :r1 - r0 + 2 * ph], (kh, kw),
+                                      axis=(1, 2))
+        cols = band[:channels * kh * kw * (r1 - r0) * width].reshape(
+            channels, kh, kw, r1 - r0, width)
+        np.copyto(cols, windows.transpose(0, 3, 4, 1, 2))
         yield r0 * width, r1 * width, cols.reshape(channels * kh * kw, -1)
 
 

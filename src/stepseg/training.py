@@ -68,10 +68,11 @@ class TrainConfig:
     eval_every: int = 25
 
     def __post_init__(self):
-        if self.iterations < 0 or self.width < 1 or self.steps < 0:
-            raise ValueError("iterations, width, steps must be sensible")
-        if self.decay_every < 1 or self.eval_every < 1:
-            raise ValueError("decay_every >= 1, eval_every >= 1")
+        for name, least in (("iterations", 0), ("width", 1), ("steps", 0),
+                            ("decay_every", 1), ("eval_every", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, "
+                                 f"got {getattr(self, name)}")
         if not (math.isfinite(self.lr0) and self.lr0 >= 0.0):
             raise ValueError(f"lr0 must be finite and >= 0, got {self.lr0}")
         if not 0.0 < self.decay_factor <= 1.0:
@@ -82,8 +83,6 @@ class TrainConfig:
         if self.activation not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {self.activation!r}, "
                              f"expected one of {ACTIVATION_KINDS}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
 
@@ -100,16 +99,26 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# config key -> the parser for its value; the keys are TrainConfig's fields
-_CONFIG_PARSERS = {f.name: {"int": int, "float": float, "bool": _parse_bool,
-                            "str": str}[f.type]
+# config key -> the parser for its value and what the value must be; the
+# keys are TrainConfig's fields
+_CONFIG_PARSERS = {f.name: {"int": (int, "an integer"),
+                            "float": (float, "a number"),
+                            "bool": (_parse_bool, "a boolean"),
+                            "str": (str, "a string")}[f.type]
                    for f in fields(TrainConfig)}
 
 
 def parse_config(text: str) -> TrainConfig:
     """Key=value overrides on top of the defaults; unknown keys rejected."""
     pairs = parse_key_values(text, tuple(_CONFIG_PARSERS), "config")
-    return TrainConfig(**{k: _CONFIG_PARSERS[k](v) for k, v in pairs.items()})
+    values = {}
+    for key, value in pairs.items():
+        parse, kind = _CONFIG_PARSERS[key]
+        try:
+            values[key] = parse(value)
+        except ValueError:
+            raise ValueError(f"{key} must be {kind}, got {value!r}") from None
+    return TrainConfig(**values)
 
 
 def init_params(bands: int, num_classes: int, width: int, steps: int,

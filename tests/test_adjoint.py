@@ -180,13 +180,19 @@ class TestBackward:
             np.testing.assert_array_equal(seen[j - 1], stepped)
 
     def test_backward_keeps_constant_multiplier_storage(self):
-        # Only the working multiplier pair may stay alive; earlier ones
-        # must be collectable as soon as the sweep moves past them.
+        # Only the working multiplier pair may stay alive; earlier ones,
+        # p_n included, must be freed as soon as the sweep moves past them.
         params, data, q = small_instance(10, steps=6)
         trace = forward(params, data)
-        refs = []
+        refs, earlier_alive = [], []
+
+        def hook(j, p):
+            earlier_alive.append(sum(1 for r in refs if r() is not None))
+            refs.append(weakref.ref(p))
+
         backward(trace, terminal_multiplier(trace, q, alpha=0.3),
-                 multiplier_hook=lambda j, p: refs.append(weakref.ref(p)))
+                 multiplier_hook=hook)
+        assert earlier_alive == [0] * 7
         gc.collect()
         alive = sum(1 for r in refs if r() is not None)
         assert alive <= 2
@@ -296,13 +302,15 @@ class TestCheckpointReplay:
     def test_gradient_peak_memory_follows_checkpoint_rule(self):
         # One gradient may hold, in whole (width, H, W) fields: the n
         # activations, the checkpointed states, one replayed segment of
-        # k - 1 states, a working set of 7 (p_n, p_j, the weighted
-        # cotangent, the adjoint convolution's output, the one temporary of
-        # f' read from a_j, the small output-sized arrays, and one spare
-        # field: f' from z_j made two temporaries, and the measured peak
-        # did not fall when the second went), and a patch-matrix
-        # workspace of kh * kw fields if it has to grow. A full trace of
-        # n + 1 states exceeds this by about 10 fields.
+        # k - 1 states, a working set of 7 (p_j, the weighted cotangent,
+        # the adjoint convolution's output, the one temporary of f' read
+        # from a_j, the small output-sized arrays, the zero-bordered slab a
+        # convolution gathers its band from, and one spare field: f' from
+        # z_j made two temporaries, and the measured peak did not fall when
+        # the second went), and a convolution's band of kh * kw fields (a
+        # 32x32 field at width 8 is one band). p_n is not counted: backward
+        # frees it after the first step. A full trace of n + 1 states
+        # exceeds this by about 10 fields.
         steps, width, bands = 16, 8, 3
         params, data, q = small_instance(41, bands=bands, width=width,
                                          steps=steps, height=32,

@@ -76,10 +76,12 @@ class TestGenData:
         assert "error:" in capsys.readouterr().err
 
     def test_malformed_size_is_config_error(self, tmp_path, capsys):
-        code = main(["gen-data", "--seed", "1", "--size", "64",
-                     "--out", str(tmp_path / "scene")])
-        assert code == EXIT_CONFIG_ERROR
-        assert "--size" in capsys.readouterr().err
+        for size in ("64", "8xa", "x8"):
+            code = main(["gen-data", "--seed", "1", "--size", size,
+                         "--out", str(tmp_path / "scene")])
+            assert code == EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err == (
+                f"error: --size must look like 64x64, got {size!r}\n")
 
     @pytest.mark.parametrize("flag,dimension", [("--bands", "channels"),
                                                 ("--classes", "num_classes")])
@@ -293,7 +295,10 @@ class TestEval:
 
     @pytest.mark.parametrize("line,message", [
         ("n=-1", "n must be >= 0, got -1"),
-        ("width=x", "width must be an integer, got 'x'")])
+        ("width=x", "width must be an integer, got 'x'"),
+        ("h=x", "h must be a finite number, got 'x'"),
+        ("activation=gelu",
+         "activation must be one of ('relu', 'tanh'), got 'gelu'")])
     def test_bad_manifest_count_is_named(self, tmp_path, scene_dir, capsys,
                                          line, message):
         # a negative n once loaded as a zero-layer network and scored

@@ -418,7 +418,12 @@ class TestSaveLoad:
         ("width=0", "width must be >= 1, got 0"),
         ("num_classes=-2", "num_classes must be >= 1, got -2"),
         ("n=2.0", "n must be an integer, got '2.0'"),
-        ("width=x", "width must be an integer, got 'x'")])
+        ("width=x", "width must be an integer, got 'x'"),
+        ("h=x", "h must be a finite number, got 'x'"),
+        ("h=nan", "h must be a finite number, got 'nan'"),
+        ("h=inf", "h must be a finite number, got 'inf'"),
+        ("activation=gelu",
+         "activation must be one of ('relu', 'tanh'), got 'gelu'")])
     def test_bad_manifest_count_rejected(self, tmp_path, line, message):
         save_params(tmp_path / "net", random_params(np.random.default_rng(17)))
         manifest = tmp_path / "net" / "manifest.txt"

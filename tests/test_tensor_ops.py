@@ -239,9 +239,8 @@ class TestPatchBands:
 
     def test_results_survive_workspace_reuse(self, band_bytes, monkeypatch,
                                              kh, kw):
-        # a result is its own array: later convolutions that gather other
-        # shapes into the shared workspace leave it as it was
-        monkeypatch.setattr(tensor_ops, "_workspace", np.empty(0))
+        # a result is its own array: later convolutions of other shapes
+        # leave it as it was
         x, u, k = band_operands(kh, kw, seed=3)
         results = conv_results(x, u, k)
         kept = [r.copy() for r in results]
@@ -250,39 +249,42 @@ class TestPatchBands:
             k.swapaxes(0, 1)))
         for got, want in zip(results, kept):
             np.testing.assert_array_equal(got, want)
-            assert not np.shares_memory(got, tensor_ops._workspace)
 
 
-def test_workspace_grows_to_one_band_and_is_reused(monkeypatch):
-    monkeypatch.setattr(tensor_ops, "_workspace", np.empty(0))
+def test_live_band_generators_share_no_memory(monkeypatch):
+    # each call gathers into its own buffers, so two gathers in flight at
+    # once (two threads, or an interleaving caller) cannot overwrite each
+    # other's bands
     monkeypatch.setattr(tensor_ops, "_BAND_BYTES", 2500)
-    x, u, k = band_operands(3, 3)
-    conv2d(x, k)
-    workspace = tensor_ops._workspace
-    # two of the field's seven rows per band: one band, not the whole matrix
-    assert workspace.size == 3 * 9 * 2 * 5
-    conv_results(x, u, k)
-    conv2d(x[:, :3], k)
-    assert tensor_ops._workspace is workspace
-    # a wider field's one-row band is larger, so the workspace grows to it
-    conv2d(np.zeros((3, 7, 20)), k)
-    assert tensor_ops._workspace.size == 3 * 9 * 1 * 20
+    x, u, _ = band_operands(3, 3, seed=6)
+    first = tensor_ops._patch_bands(x, 3, 3)
+    second = tensor_ops._patch_bands(u[:, ::-1], 3, 3)
+    _, _, cols = next(first)
+    kept = cols.copy()
+    for _, _, other in second:
+        assert not np.shares_memory(cols, other)
+        np.testing.assert_array_equal(cols, kept)
 
 
-def test_convolution_allocates_only_its_output():
-    # no patch buffer and no padded copy: once the workspace has grown, a
-    # 3x3 conv2d allocates its output and a few small views
+def test_convolution_allocates_only_its_output(monkeypatch):
+    # beyond its output, a 3x3 conv2d over ten bands allocates one band, one
+    # slab of a band's rows plus halo, and small objects (about 6 KiB of
+    # views measured); a padded copy of the field or the whole patch matrix
+    # is more than the slab plus that slack
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 40, 40))
     k = rng.standard_normal((4, 4, 3, 3))
-    out = conv2d(x, k)
+    band, slab, slack = 4 * 9 * 4 * 40 * 8, 4 * 6 * 42 * 8, 16 * 2**10
+    assert 4 * 42 * 42 * 8 > slab + slack
+    monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band)
+    assert len(list(tensor_ops._patch_bands(x, 3, 3))) == 10
     tracemalloc.start()
     try:
-        conv2d(x, k)
+        out = conv2d(x, k)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < out.nbytes + x.nbytes // 4
+    assert peak < out.nbytes + band + slab + slack
 
 
 def test_acceptance_field_is_one_band():

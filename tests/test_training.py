@@ -144,6 +144,22 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="boolean"):
             parse_config("augmentation=maybe\n")
 
+    @pytest.mark.parametrize("line,message", [
+        ("iterations=x", "iterations must be an integer, got 'x'"),
+        ("seed=2.0", "seed must be an integer, got '2.0'"),
+        ("lr0=fast", "lr0 must be a number, got 'fast'"),
+        ("augmentation=maybe", "augmentation must be a boolean, got 'maybe'"),
+        ("iterations=-1", "iterations must be >= 0, got -1"),
+        ("width=0", "width must be >= 1, got 0"),
+        ("steps=-2", "steps must be >= 0, got -2"),
+        ("decay_every=0", "decay_every must be >= 1, got 0"),
+        ("eval_every=0", "eval_every must be >= 1, got 0"),
+        ("seed=-1", "seed must be >= 0, got -1")])
+    def test_bad_value_names_its_key(self, line, message):
+        with pytest.raises(ValueError) as info:
+            parse_config(line + "\n")
+        assert str(info.value) == message
+
     def test_reg_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown config line"):
             parse_config("reg_kind=quadratic\n")
