@@ -162,13 +162,16 @@ def objective_value(params: NetworkParams, data: np.ndarray, q: SelectionSet,
     return loss + alpha * reg_value
 
 
+FD_STEP = 1e-5
+
+
 def gradcheck(params: NetworkParams, data: np.ndarray, q: SelectionSet,
-              alpha: float, fd_step: float = 1e-5,
-              num_coords: Optional[int] = 60, seed: int = 0) -> float:
+              alpha: float, num_coords: Optional[int] = 60,
+              seed: int = 0) -> float:
     """Max relative error of the adjoint gradient against central differences.
 
-    Compares |adjoint - fd| / (|fd| + 1e-12) over a seeded sample of
-    num_coords parameter coordinates (all coordinates if None).
+    Compares |adjoint - fd| / (|fd| + 1e-12), fd with step FD_STEP, over a
+    seeded sample of num_coords parameter coordinates (all if None).
     """
     bundle = gradient(params, data, q, alpha)
     analytic = ([bundle.lift.reshape(-1)]
@@ -195,12 +198,12 @@ def gradcheck(params: NetworkParams, data: np.ndarray, q: SelectionSet,
         i = int(coord - offsets[stack])
         flat = flats[stack]
         orig = flat[i]
-        flat[i] = orig + fd_step
+        flat[i] = orig + FD_STEP
         f_plus = objective_value(work, data, q, alpha)
-        flat[i] = orig - fd_step
+        flat[i] = orig - FD_STEP
         f_minus = objective_value(work, data, q, alpha)
         flat[i] = orig
-        fd = (f_plus - f_minus) / (2.0 * fd_step)
+        fd = (f_plus - f_minus) / (2.0 * FD_STEP)
         err = abs(float(analytic[stack][i]) - fd) / (abs(fd) + 1e-12)
         max_err = max(max_err, err)
     return max_err

@@ -12,7 +12,7 @@ from dataclasses import astuple, fields
 from pathlib import Path
 
 from .adjoint import gradcheck
-from .network import load_params, save_params
+from .network import load_params, parse_value, save_params
 from .synth import (
     LabelBudget,
     gen_scene,
@@ -20,6 +20,7 @@ from .synth import (
     sample_labels,
     write_class_map,
 )
+from .tensor_ops import in_file
 from .training import (
     Dataset,
     IterationLog,
@@ -43,8 +44,13 @@ EXIT_DIVERGED = 3
 GRADCHECK_THRESHOLD = 1e-5
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it in one line
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stepseg",
         description="Train time-stepping residual networks with explicit "
                     "output smoothing on sparse-label segmentation scenes.")
@@ -95,6 +101,12 @@ def _parse_size(text: str) -> tuple[int, int]:
     return height, width
 
 
+def _parse_list(text: str, kind: str, flag: str) -> list:
+    """A comma-separated flag value, each item parsed as kind."""
+    return [parse_value(x, kind, f"{flag} item")
+            for x in text.split(",") if x.strip()]
+
+
 def _cmd_gen_data(args) -> int:
     height, width = _parse_size(args.size)
     spec = make_scene_spec(seed=args.seed, height=height, width=width,
@@ -113,7 +125,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = parse_config(Path(args.config).read_text())
+    with in_file(args.config):
+        config = parse_config(Path(args.config).read_text())
     dataset = load_dataset(args.data)
     result = train(config, dataset.data, dataset.train, dataset.val)
     out = Path(args.out)
@@ -132,9 +145,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = parse_config(Path(args.config).read_text())
-    alphas = [float(x) for x in args.alphas.split(",") if x.strip()]
-    seeds = [int(x) for x in args.seeds.split(",") if x.strip()]
+    with in_file(args.config):
+        config = parse_config(Path(args.config).read_text())
+    alphas = _parse_list(args.alphas, "float", "--alphas")
+    seeds = _parse_list(args.seeds, "int", "--seeds")
     dataset = load_dataset(args.data)
     result = sweep(config, alphas, seeds, dataset, jobs=args.jobs)
     out = Path(args.out)
@@ -170,19 +184,18 @@ def _cmd_gradcheck(args) -> int:
                                                  seed=args.seed))
     params = init_params(bands=3, num_classes=2, width=4, steps=2,
                          activation="tanh", h=1.0, seed=args.seed)
-    err = gradcheck(params, data, labels, alpha=args.alpha, fd_step=1e-5,
-                    num_coords=60, seed=args.seed)
+    err = gradcheck(params, data, labels, alpha=args.alpha, num_coords=60,
+                    seed=args.seed)
     print(f"gradcheck max relative error: {err:.6e}")
     return EXIT_OK if err < GRADCHECK_THRESHOLD else EXIT_GRADCHECK_FAILED
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {"gen-data": _cmd_gen_data, "train": _cmd_train,
                 "sweep": _cmd_sweep, "eval": _cmd_eval,
                 "gradcheck": _cmd_gradcheck}
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

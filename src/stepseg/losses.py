@@ -8,7 +8,7 @@ over pixels the ground truth labels (id -1 marks unlabeled).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -99,21 +99,13 @@ class IoUReport:
     miou: float
 
 
-def _map_values(m: Union[ClassMap, np.ndarray]) -> np.ndarray:
-    return m.values if isinstance(m, ClassMap) else np.asarray(m)
-
-
-def iou(pred: Union[ClassMap, np.ndarray], truth: Union[ClassMap, np.ndarray],
-        num_classes: int) -> IoUReport:
+def iou(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> IoUReport:
     """Per-class IoU for classes 0..num_classes-1 over the pixels where
     truth is labeled."""
-    p = _map_values(pred)
-    t = _map_values(truth)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch: pred {p.shape} vs truth {t.shape}")
-    mask = t >= 0
-    p = p[mask]
-    t = t[mask]
+    if pred.shape != truth.shape:
+        raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
+    mask = truth >= 0
+    p, t = pred[mask], truth[mask]
     per_class = []
     defined = []
     for c in range(num_classes):

@@ -30,6 +30,7 @@ from .tensor_ops import (
     as_field,
     as_kernel_stack,
     conv2d,
+    in_file,
     read_ftf,
     write_ftf,
 )
@@ -220,12 +221,44 @@ def scatter_into(field: np.ndarray, sel: SelectionSet, values: np.ndarray):
     field[:, sel.rows, sel.cols] += values
 
 
-def parse_key_values(text: str, keys: tuple[str, ...],
-                     what: str) -> dict[str, str]:
-    """key=value lines, '#' comments and blank lines skipped, last one wins.
+def _parse_bool(text: str) -> bool:
+    # tuple.index raises ValueError for any other spelling
+    return ("0", "false", "no", "off",
+            "1", "true", "yes", "on").index(text.lower()) >= 4
 
-    A line without '=' or with a key outside keys raises ValueError.
-    """
+
+def _parse_finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
+
+
+# value kind -> the parser for its text and what the text must be
+VALUE_KINDS = {"int": (int, "an integer"), "float": (float, "a number"),
+               "finite": (_parse_finite, "a finite number"),
+               "bool": (_parse_bool, "a boolean"), "str": (str, "a string")}
+
+
+def parse_value(text: str, kind: str, name: str):
+    """text as a value of kind (a VALUE_KINDS key); a ValueError names name."""
+    parse, what = VALUE_KINDS[kind]
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"{name} must be {what}, got {text!r}") from None
+
+
+def check_at_least(values, bounds: dict[str, int]):
+    """Reject the first key of bounds whose entry in values is below it."""
+    for key, least in bounds.items():
+        if values[key] < least:
+            raise ValueError(f"{key} must be >= {least}, got {values[key]}")
+
+
+def parse_key_values(text: str, kinds: dict[str, str], what: str) -> dict:
+    """key=value lines, '#' comments and blank lines skipped, last one wins,
+    each value parsed as its key's kind. A line without '=' or with a key
+    outside kinds raises ValueError."""
     pairs: dict[str, str] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -233,13 +266,15 @@ def parse_key_values(text: str, keys: tuple[str, ...],
             continue
         key, sep, value = line.partition("=")
         key = key.strip()
-        if not sep or key not in keys:
+        if not sep or key not in kinds:
             raise ValueError(f"unknown {what} line {raw!r}")
         pairs[key] = value.strip()
-    return pairs
+    return {key: parse_value(value, kinds[key], key)
+            for key, value in pairs.items()}
 
 
-_MANIFEST_KEYS = ("width", "num_classes", "h", "activation", "n", "bands")
+_MANIFEST_KINDS = {"width": "int", "num_classes": "int", "h": "finite",
+                   "activation": "str", "n": "int", "bands": "int"}
 
 
 def save_params(directory, params: NetworkParams):
@@ -263,48 +298,28 @@ def save_params(directory, params: NetworkParams):
 
 def load_params(directory) -> NetworkParams:
     directory = Path(directory)
-    path = directory / "manifest.txt"
-    manifest = parse_key_values(path.read_text(), _MANIFEST_KEYS, "manifest")
-    missing = [k for k in _MANIFEST_KEYS if k not in manifest]
-    if missing:
-        raise ValueError(f"{path}: missing keys {missing}")
-
-    def count(key: str, least: int) -> int:
-        try:
-            value = int(manifest[key])
-        except ValueError:
-            raise ValueError(f"{path}: {key} must be an integer, "
-                             f"got {manifest[key]!r}") from None
-        if value < least:
-            raise ValueError(f"{path}: {key} must be >= {least}, got {value}")
-        return value
-
-    bands, width, num_classes = (count(key, 1) for key in
-                                 ("bands", "width", "num_classes"))
-    steps = count("n", 0)
-    try:
-        h = float(manifest["h"])
-    except ValueError:
-        h = math.nan
-    if not math.isfinite(h):
-        raise ValueError(f"{path}: h must be a finite number, "
-                         f"got {manifest['h']!r}")
-    activation = manifest["activation"]
-    if activation not in ACTIVATION_KINDS:
-        raise ValueError(f"{path}: activation must be one of "
-                         f"{ACTIVATION_KINDS}, got {activation!r}")
+    with in_file(directory / "manifest.txt") as path:
+        manifest = parse_key_values(path.read_text(), _MANIFEST_KINDS,
+                                    "manifest")
+        if missing := [k for k in _MANIFEST_KINDS if k not in manifest]:
+            raise ValueError(f"missing keys {missing}")
+        check_at_least(manifest, {"bands": 1, "width": 1, "num_classes": 1,
+                                  "n": 0})
+        if manifest["activation"] not in ACTIVATION_KINDS:
+            raise ValueError(f"activation must be one of {ACTIVATION_KINDS}, "
+                             f"got {manifest['activation']!r}")
 
     def read_stack(name: str, o: int, i: int) -> np.ndarray:
         flat = read_ftf(directory / name)
         if flat.shape[0] != o * i:
-            raise ValueError(f"{name}: expected {o * i} kernels, got {flat.shape[0]}")
-        return flat.reshape(o, i, flat.shape[1], flat.shape[2])
+            raise ValueError(f"{directory / name}: expected {o * i} kernels, "
+                             f"got {flat.shape[0]}")
+        return flat.reshape(o, i, *flat.shape[1:])
 
+    width = manifest["width"]
     return NetworkParams(
-        lift=read_stack("lift.ftf", width, bands),
+        lift=read_stack("lift.ftf", width, manifest["bands"]),
         layers=tuple(read_stack(f"layer_{j:03d}.ftf", width, width)
-                     for j in range(steps)),
-        project=read_stack("project.ftf", num_classes, width),
-        h=h,
-        activation=activation,
-    )
+                     for j in range(manifest["n"])),
+        project=read_stack("project.ftf", manifest["num_classes"], width),
+        h=manifest["h"], activation=manifest["activation"])

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .losses import ClassMap
-from .network import SelectionSet
+from .network import SelectionSet, check_at_least, parse_value
+from .tensor_ops import in_file
 
 LBL_MAGIC = "LBL1"
 
@@ -26,11 +27,7 @@ _STREAM_NOISE = 2
 _STREAM_SIGNATURES = 3
 _STREAM_LABELS = 4
 
-
-def _check_dimensions(**dims: int):
-    for name, value in dims.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+_SCENE_BOUNDS = dict(height=1, width=1, channels=1, num_classes=1, blob_count=0)
 
 
 @dataclass(frozen=True)
@@ -47,8 +44,7 @@ class SceneSpec:
     signatures: np.ndarray
 
     def __post_init__(self):
-        _check_dimensions(height=self.height, width=self.width,
-                          channels=self.channels, num_classes=self.num_classes)
+        check_at_least(vars(self), _SCENE_BOUNDS)
         sigs = np.ascontiguousarray(np.asarray(self.signatures, dtype=np.float64))
         if sigs.shape != (self.num_classes, self.channels):
             raise ValueError(f"signatures must be ({self.num_classes}, "
@@ -59,8 +55,6 @@ class SceneSpec:
                     raise ValueError(f"classes {a} and {b} share a signature")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise ValueError("noise_sigma must be finite and >= 0")
-        if self.blob_count < 0:
-            raise ValueError("blob_count must be >= 0")
         object.__setattr__(self, "signatures", sigs)
 
 
@@ -82,10 +76,7 @@ def make_scene_spec(seed: int, height: int = 64, width: int = 64,
     the prediction has headroom to help.
     """
     # before the signatures, whose draw fails on a negative dimension or seed
-    _check_dimensions(height=height, width=width, channels=channels,
-                      num_classes=num_classes)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_at_least(locals(), {**_SCENE_BOUNDS, "seed": 0})
     return SceneSpec(seed=seed, height=height, width=width, channels=channels,
                      num_classes=num_classes, blob_count=blob_count,
                      noise_sigma=noise_sigma,
@@ -210,15 +201,13 @@ def write_class_map(path, cmap: ClassMap):
 
 
 def read_class_map(path) -> ClassMap:
-    lines = Path(path).read_text().splitlines()
-    height, width = _parse_header(lines, path)
-    if len(lines) != 1 + height:
-        raise ValueError(f"{path}: expected {height} rows, got {len(lines) - 1}")
-    values = np.array([[int(v) for v in line.split()] for line in lines[1:]],
-                      dtype=np.int64)
-    if values.shape != (height, width):
-        raise ValueError(f"{path}: row widths do not match header")
-    return ClassMap(values=values)
+    with in_file(path):
+        (height, width), rows = _read_lbl(path)
+        if len(rows) != height:
+            raise ValueError(f"expected {height} rows, got {len(rows)}")
+        if any(len(row) != width for row in rows):
+            raise ValueError("row widths do not match header")
+        return ClassMap(values=np.reshape(rows, (height, width)))
 
 
 def write_selection(path, sel: SelectionSet, height: int, width: int):
@@ -229,27 +218,31 @@ def write_selection(path, sel: SelectionSet, height: int, width: int):
 
 
 def read_selection(path) -> tuple[SelectionSet, tuple[int, int]]:
+    with in_file(path):
+        (height, width), rows = _read_lbl(path)
+        rows = [row for row in rows if row]
+        if any(len(row) != 3 for row in rows):
+            raise ValueError("selection lines must be 'row col class'")
+        arr = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+        outside = ((arr[:, 0] < 0) | (arr[:, 0] >= height)
+                   | (arr[:, 1] < 0) | (arr[:, 1] >= width))
+        if outside.any():
+            row, col, _ = arr[np.argmax(outside)]
+            raise ValueError(f"label at row {row}, col {col} lies "
+                             f"outside the {height}x{width} field")
+        sel = SelectionSet(rows=arr[:, 0], cols=arr[:, 1], classes=arr[:, 2])
+        return sel, (height, width)
+
+
+def _read_lbl(path) -> tuple[tuple[int, int], list[list[int]]]:
+    """The header's (H, W), and the integers of each later line."""
     lines = Path(path).read_text().splitlines()
-    height, width = _parse_header(lines, path)
-    triples = [tuple(int(v) for v in line.split()) for line in lines[1:] if line]
-    if any(len(t) != 3 for t in triples):
-        raise ValueError(f"{path}: selection lines must be 'row col class'")
-    arr = np.array(triples, dtype=np.int64).reshape(len(triples), 3)
-    outside = ((arr[:, 0] < 0) | (arr[:, 0] >= height)
-               | (arr[:, 1] < 0) | (arr[:, 1] >= width))
-    if outside.any():
-        row, col, _ = arr[np.argmax(outside)]
-        raise ValueError(f"{path}: label at row {row}, col {col} lies "
-                         f"outside the {height}x{width} field")
-    sel = SelectionSet(rows=arr[:, 0], cols=arr[:, 1], classes=arr[:, 2])
-    return sel, (height, width)
-
-
-def _parse_header(lines: list[str], path) -> tuple[int, int]:
     if not lines:
-        raise ValueError(f"{path}: empty label file")
+        raise ValueError("empty label file")
     parts = lines[0].split()
     if len(parts) != 3 or parts[0] != LBL_MAGIC:
-        raise ValueError(f"{path}: bad header {lines[0]!r}")
-    return int(parts[1]), int(parts[2])
-
+        raise ValueError(f"bad header {lines[0]!r}")
+    shape = tuple(parse_value(v, "int", name)
+                  for v, name in zip(parts[1:], ("height", "width")))
+    return shape, [[parse_value(v, "int", "entry") for v in line.split()]
+                   for line in lines[1:]]

@@ -21,6 +21,7 @@ into the band through a sliding-window view.
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -165,20 +166,30 @@ def write_ftf(path, field: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(field, dtype="<f8").tobytes())
 
 
+@contextmanager
+def in_file(path):
+    """Yield path; re-raise a ValueError from the block prefixed with it."""
+    try:
+        yield path
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def read_ftf(path) -> np.ndarray:
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != FTF_MAGIC:
-        raise ValueError(f"{path}: not an FTF1 file")
-    if len(blob) < _FTF_HEADER:
-        raise ValueError(f"{path}: {len(blob)} bytes, shorter than the "
-                         f"{_FTF_HEADER}-byte header")
-    channels, height, width = struct.unpack("<QQQ", blob[4:_FTF_HEADER])
-    if 0 in (channels, height, width):
-        raise ValueError(f"{path}: shape ({channels}, {height}, {width}) "
-                         f"has a zero dimension")
-    expected = _FTF_HEADER + channels * height * width * 8
-    if len(blob) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    data = np.frombuffer(blob, dtype="<f8", offset=_FTF_HEADER)
-    return as_field(data.reshape(channels, height, width).astype(np.float64))
+    with in_file(path):
+        if blob[:4] != FTF_MAGIC:
+            raise ValueError("not an FTF1 file")
+        if len(blob) < _FTF_HEADER:
+            raise ValueError(f"{len(blob)} bytes, shorter than the "
+                             f"{_FTF_HEADER}-byte header")
+        channels, height, width = struct.unpack("<QQQ", blob[4:_FTF_HEADER])
+        if 0 in (channels, height, width):
+            raise ValueError(f"shape ({channels}, {height}, {width}) "
+                             f"has a zero dimension")
+        expected = _FTF_HEADER + channels * height * width * 8
+        if len(blob) != expected:
+            raise ValueError(f"expected {expected} bytes, found {len(blob)}")
+        data = np.frombuffer(blob, dtype="<f8", offset=_FTF_HEADER)
+        return as_field(data.reshape(channels, height, width).astype(np.float64))

@@ -29,6 +29,7 @@ from .losses import ClassMap, IoUReport, iou, softmax_xent_matrix
 from .network import (
     NetworkParams,
     SelectionSet,
+    check_at_least,
     forward,
     parse_key_values,
     predict_classes,
@@ -68,11 +69,8 @@ class TrainConfig:
     eval_every: int = 25
 
     def __post_init__(self):
-        for name, least in (("iterations", 0), ("width", 1), ("steps", 0),
-                            ("decay_every", 1), ("eval_every", 1), ("seed", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, "
-                                 f"got {getattr(self, name)}")
+        check_at_least(vars(self), dict(iterations=0, width=1, steps=0,
+                                        decay_every=1, eval_every=1, seed=0))
         if not (math.isfinite(self.lr0) and self.lr0 >= 0.0):
             raise ValueError(f"lr0 must be finite and >= 0, got {self.lr0}")
         if not 0.0 < self.decay_factor <= 1.0:
@@ -90,35 +88,10 @@ class TrainConfig:
         return self.lr0 * self.decay_factor ** (iteration // self.decay_every)
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
-# config key -> the parser for its value and what the value must be; the
-# keys are TrainConfig's fields
-_CONFIG_PARSERS = {f.name: {"int": (int, "an integer"),
-                            "float": (float, "a number"),
-                            "bool": (_parse_bool, "a boolean"),
-                            "str": (str, "a string")}[f.type]
-                   for f in fields(TrainConfig)}
-
-
 def parse_config(text: str) -> TrainConfig:
-    """Key=value overrides on top of the defaults; unknown keys rejected."""
-    pairs = parse_key_values(text, tuple(_CONFIG_PARSERS), "config")
-    values = {}
-    for key, value in pairs.items():
-        parse, kind = _CONFIG_PARSERS[key]
-        try:
-            values[key] = parse(value)
-        except ValueError:
-            raise ValueError(f"{key} must be {kind}, got {value!r}") from None
-    return TrainConfig(**values)
+    """Overrides of TrainConfig's fields as key=value lines of their types."""
+    return TrainConfig(**parse_key_values(
+        text, {f.name: f.type for f in fields(TrainConfig)}, "config"))
 
 
 def init_params(bands: int, num_classes: int, width: int, steps: int,
@@ -232,10 +205,9 @@ def train(config: TrainConfig, data: np.ndarray, train_labels: SelectionSet,
 def evaluate(params: NetworkParams, data: np.ndarray,
              truth: ClassMap) -> tuple[IoUReport, ClassMap]:
     """Dense-truth IoU of the argmax prediction, and the prediction."""
-    trace = forward(params, data)
-    pred = ClassMap(values=predict_classes(trace.output))
-    report = iou(pred, truth, num_classes=params.num_classes)
-    return report, pred
+    pred = predict_classes(forward(params, data).output)
+    report = iou(pred, truth.values, num_classes=params.num_classes)
+    return report, ClassMap(values=pred)
 
 
 @dataclass(frozen=True)
@@ -298,7 +270,12 @@ class SweepRecord:
 @dataclass(frozen=True)
 class SweepResult:
     records: tuple[SweepRecord, ...]
-    alpha_star: Optional[float]
+
+    @property
+    def alpha_star(self) -> Optional[float]:
+        """argmax of the median validation mIoU, ties to the smaller alpha."""
+        medians = _median_val_miou(self.records)
+        return min(medians, key=lambda a: (-medians[a], a), default=None)
 
     def summary(self) -> str:
         """The alpha* line, then per alpha the median validation mIoU over
@@ -334,7 +311,7 @@ def _run_one(config: TrainConfig, dataset: Dataset, alpha: float,
             train_loss, _ = softmax_xent_matrix(
                 select_matrix(output, dataset.train), dataset.train.classes)
             _, val_miou = _val_metrics(output, dataset.val)
-            test_miou = iou(predict_classes(output), dataset.truth,
+            test_miou = iou(predict_classes(output), dataset.truth.values,
                             num_classes=result.params.num_classes).miou
     except FloatingPointError:
         train_loss = val_miou = test_miou = math.nan
@@ -363,8 +340,7 @@ def sweep(config: TrainConfig, alphas: list[float], seeds: list[int],
     """
     if not alphas or not seeds:
         raise ValueError("need at least one alpha and one seed")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    check_at_least({"jobs": jobs}, {"jobs": 1})
     grid = [(alpha, seed) for alpha in sorted(alphas) for seed in sorted(seeds)]
     for alpha, seed in grid:
         replace(config, seed=seed, alpha=alpha)  # reject a bad cell up front
@@ -387,12 +363,7 @@ def sweep(config: TrainConfig, alphas: list[float], seeds: list[int],
     else:
         records = [_run_one(config, dataset, a, s) for a, s in grid]
     records.sort(key=lambda r: (r.alpha, r.seed))
-    medians = _median_val_miou(tuple(records))
-    alpha_star = None
-    if medians:
-        best = max(medians.values())
-        alpha_star = min(a for a, m in medians.items() if m == best)
-    return SweepResult(records=tuple(records), alpha_star=alpha_star)
+    return SweepResult(records=tuple(records))
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -26,6 +26,10 @@ BAD_SCENES = {
     "val_header_mismatch": "val_labels.lbl: header is 12x13",
     "truncated_ftf": "data.ftf: 20 bytes, shorter than the 28-byte header",
     "zero_band_ftf": r"data.ftf: shape \(0, 12, 12\) has a zero dimension",
+    "non_integer_label_header":
+        "train_labels.lbl: width must be an integer, got 'x'",
+    "negative_class_id": "train_labels.lbl: negative class id",
+    "duplicate_label": "train_labels.lbl: duplicate labeled pixel",
 }
 
 
@@ -46,6 +50,15 @@ def bad_scene(request, tmp_path):
                         ClassMap(values=truth.values[:8, :8]))
     elif request.param == "val_header_mismatch":
         write_selection(directory / "val_labels.lbl", val_sel, 12, 13)
+    elif request.param == "non_integer_label_header":
+        labels = directory / "train_labels.lbl"
+        lines = labels.read_text().splitlines()
+        labels.write_text("\n".join(["LBL1 12 x"] + lines[1:]) + "\n")
+    elif request.param == "negative_class_id":
+        (directory / "train_labels.lbl").write_text("LBL1 12 12\n1 2 -3\n")
+    elif request.param == "duplicate_label":
+        (directory / "train_labels.lbl").write_text(
+            "LBL1 12 12\n1 2 0\n1 2 0\n")
     elif request.param == "truncated_ftf":
         ftf = directory / "data.ftf"
         ftf.write_bytes(ftf.read_bytes()[:20])

@@ -104,6 +104,31 @@ class TestGenData:
         assert not (tmp_path / "scene").exists()
 
 
+class TestFlags:
+    @pytest.mark.parametrize("args,message", [
+        (["gen-data", "--seed", "x", "--out", "scene"],
+         "argument --seed: invalid int value: 'x'"),
+        (["sweep", "--config", "c", "--alphas", "0", "--seeds", "1",
+          "--data", "d", "--out", "o", "--jobs", "x"],
+         "argument --jobs: invalid int value: 'x'"),
+        (["train", "--config", "c", "--data", "d"],
+         "the following arguments are required: --out")])
+    def test_bad_flag_is_one_line(self, capsys, args, message):
+        assert main(args) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_help_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--help"])
+        assert info.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: stepseg sweep [-h] --config CONFIG")
+        assert "comma-separated floats" in out
+
+
 class TestTrain:
     def test_writes_params_history_status(self, tmp_path, scene_dir, capsys):
         cfg = write_config(tmp_path)
@@ -205,14 +230,24 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err == "error: jobs must be >= 1, got 0\n"
 
-    def test_malformed_alpha_list_is_config_error(self, tmp_path, scene_dir):
+    def test_malformed_alpha_list_is_config_error(self, tmp_path, scene_dir,
+                                                  capsys):
         cfg = write_config(tmp_path)
-        for alphas, seeds in (("0,banana", "1"), ("0,inf", "1"),
-                              ("0,-1", "1"), ("0", "1,-1")):
+        # a list item that does not parse names its flag; an item that
+        # parses but is out of range names the config key it sets
+        for alphas, seeds, line in (
+                ("0,banana", "1",
+                 "--alphas item must be a number, got 'banana'"),
+                ("0", "1.5", "--seeds item must be an integer, got '1.5'"),
+                ("0,inf", "1", "alpha must be finite and >= 0, got inf"),
+                ("0,-1", "1", "alpha must be finite and >= 0, got -1.0"),
+                ("0", "1,-1", "seed must be >= 0, got -1")):
             code = main(["sweep", "--config", str(cfg), "--alphas", alphas,
                          "--seeds", seeds, "--data", str(scene_dir),
                          "--out", str(tmp_path / "out")])
             assert code == EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestBadScene:

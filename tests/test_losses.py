@@ -157,11 +157,6 @@ class TestIoU:
         assert report.miou == 0.0
         assert all(e.iou is None for e in report.per_class)
 
-    def test_accepts_class_maps(self):
-        truth = ClassMap(values=np.array([[0, 1], [1, 0]]))
-        report = iou(truth, truth, num_classes=2)
-        assert report.miou == 1.0
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             iou(np.zeros((2, 2), dtype=np.int64),

@@ -336,6 +336,22 @@ class TestLabelFiles:
         with pytest.raises(ValueError, match="header"):
             read_selection(path)
 
+    @pytest.mark.parametrize("reader,text,message", [
+        (read_class_map, "LBL1 2 x\n0 0\n0 0\n",
+         "width must be an integer, got 'x'"),
+        (read_selection, "LBL1 2.5 2\n", "height must be an integer, got '2.5'"),
+        (read_class_map, "LBL1 2 2\n0 0\n0 x\n",
+         "entry must be an integer, got 'x'"),
+        (read_selection, "LBL1 2 2\n0 x 1\n",
+         "entry must be an integer, got 'x'")])
+    def test_non_integer_rejected_with_path(self, tmp_path, reader, text,
+                                            message):
+        path = tmp_path / "bad.lbl"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            reader(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.lbl"
         path.write_text("")

@@ -2,7 +2,7 @@
 
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -165,7 +165,7 @@ class TestParseConfig:
             parse_config("reg_kind=quadratic\n")
 
     @settings(max_examples=60, deadline=None)
-    @given(key=st.sampled_from(sorted(stepseg.training._CONFIG_PARSERS)),
+    @given(key=st.sampled_from(sorted(f.name for f in fields(TrainConfig))),
            value=st.one_of(
                st.text(max_size=12),
                st.integers(-3, 10 ** 30).map(str),
