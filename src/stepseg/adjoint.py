@@ -27,7 +27,6 @@ convolution and no activation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -92,9 +91,8 @@ def _objective_terms(output: np.ndarray, q: SelectionSet,
 
 def terminal_multiplier(trace: ForwardTrace, q: SelectionSet,
                         alpha: float) -> AdjointState:
-    """Build p_n from the loss gradients at labeled pixels plus alpha * grad R."""
-    if not (math.isfinite(alpha) and alpha >= 0.0):
-        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+    """Build p_n from the loss gradients at labeled pixels plus alpha * grad R;
+    alpha, finite and >= 0, is checked where it is read."""
     g_out = np.zeros_like(trace.output)
     loss, loss_grad, reg_value = _objective_terms(trace.output, q)
     if loss_grad is not None:

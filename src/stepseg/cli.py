@@ -12,7 +12,7 @@ from dataclasses import astuple, fields
 from pathlib import Path
 
 from .adjoint import gradcheck
-from .network import load_params, parse_value, save_params
+from .network import check_value, load_params, parse_value, save_params
 from .synth import (
     LabelBudget,
     gen_scene,
@@ -102,9 +102,12 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 
 def _parse_list(text: str, kind: str, flag: str) -> list:
-    """A comma-separated flag value, each item parsed as kind."""
-    return [parse_value(x, kind, f"{flag} item")
-            for x in text.split(",") if x.strip()]
+    """A comma-separated flag value, each item parsed as kind, none twice."""
+    items = [parse_value(x, kind, f"{flag} item")
+             for x in text.split(",") if x.strip()]
+    if len(set(items)) < len(items):
+        raise ValueError(f"{flag} items must be distinct, got {text!r}")
+    return items
 
 
 def _cmd_gen_data(args) -> int:
@@ -147,8 +150,9 @@ def _cmd_train(args) -> int:
 def _cmd_sweep(args) -> int:
     with in_file(args.config):
         config = parse_config(Path(args.config).read_text())
-    alphas = _parse_list(args.alphas, "float", "--alphas")
-    seeds = _parse_list(args.seeds, "int", "--seeds")
+    alphas = _parse_list(args.alphas, "finite>=0", "--alphas")
+    seeds = _parse_list(args.seeds, "int>=0", "--seeds")
+    check_value(args.jobs, "int>=1", "--jobs")
     dataset = load_dataset(args.data)
     result = sweep(config, alphas, seeds, dataset, jobs=args.jobs)
     out = Path(args.out)
@@ -162,9 +166,11 @@ def _cmd_sweep(args) -> int:
 def _cmd_eval(args) -> int:
     params = load_params(args.params)
     data, truth = load_scene(args.data)
+    # a band count that differs from the params' is data.ftf's fault
+    with in_file(Path(args.data) / "data.ftf"):
+        report, pred = evaluate(params, data, truth)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report, pred = evaluate(params, data, truth)
     write_class_map(out / "prediction.lbl", pred)
     # one row per class with a defined IoU; alpha is empty for a single run
     (out / "iou.csv").write_text(csv_text(
@@ -176,6 +182,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    check_value(args.alpha, "finite>=0", "--alpha")
     spec = make_scene_spec(seed=args.seed, height=8, width=8, channels=3,
                            num_classes=2, blob_count=3, noise_sigma=0.5,
                            signature_scale=1.0)

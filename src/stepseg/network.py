@@ -18,6 +18,7 @@ step, bit for bit, with no convolution and no activation call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -41,7 +42,8 @@ class NetworkParams:
     """All trainable kernels plus the step size and activation kind.
 
     lift: (width, bands, 1, 1), layers: n stacks (width, width, kh, kw),
-    project: (num_classes, width, 1, 1).
+    project: (num_classes, width, 1, 1). h and activation are checked where
+    they are read: TrainConfig and the manifest.
     """
 
     lift: np.ndarray
@@ -51,27 +53,15 @@ class NetworkParams:
     activation: str = "tanh"
 
     def __post_init__(self):
-        object.__setattr__(self, "lift", as_kernel_stack(self.lift))
-        object.__setattr__(self, "layers",
-                           tuple(as_kernel_stack(k) for k in self.layers))
-        object.__setattr__(self, "project", as_kernel_stack(self.project))
-        width = self.lift.shape[0]
-        if self.lift.shape[2:] != (1, 1):
-            raise ValueError("lift must be a 1x1 kernel stack")
-        if self.project.shape[2:] != (1, 1):
-            raise ValueError("project must be a 1x1 kernel stack")
-        if self.project.shape[1] != width:
-            raise ValueError("project input channels must match width")
-        if self.project.shape[0] < 2:
-            raise ValueError("need at least 2 output classes")
-        for j, k in enumerate(self.layers):
-            if k.shape[0] != width or k.shape[1] != width:
-                raise ValueError(f"layer {j} must map width {width} to itself, "
-                                 f"got {k.shape}")
-        if self.activation not in ACTIVATION_KINDS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if not np.isfinite(self.h):
-            raise ValueError("step size h must be finite")
+        lift = kernel_stack("lift", self.lift, (None, None, 1, 1))
+        width = lift.shape[0]
+        object.__setattr__(self, "lift", lift)
+        object.__setattr__(self, "layers", tuple(
+            kernel_stack(f"layer_{j:03d}", k, (width, width, None, None))
+            for j, k in enumerate(self.layers)))
+        object.__setattr__(self, "project", kernel_stack(
+            "project", self.project, (None, width, 1, 1)))
+        check_value(self.num_classes, "int>=2", "num_classes")
 
     @property
     def bands(self) -> int:
@@ -227,32 +217,44 @@ def _parse_bool(text: str) -> bool:
             "1", "true", "yes", "on").index(text.lower()) >= 4
 
 
-def _parse_finite(text: str) -> float:
-    if not math.isfinite(value := float(text)):
-        raise ValueError(text)
+# value kind -> the parser of its text, the type and the test a value must
+# pass (None: any value of the type), and what an error says it must be
+VALUE_KINDS = {
+    "int": (int, numbers.Integral, None, "an integer"),
+    **{f"int>={m}": (int, numbers.Integral, lambda v, m=m: v >= m,
+                     f"an integer >= {m}") for m in (0, 1, 2)},
+    "finite": (float, numbers.Real, math.isfinite, "a finite number"),
+    "finite>=0": (float, numbers.Real, lambda v: math.isfinite(v) and v >= 0,
+                  "a finite number >= 0"),
+    "(0,1]": (float, numbers.Real, lambda v: 0 < v <= 1, "a number in (0, 1]"),
+    "bool": (_parse_bool, bool, None, "a boolean"),
+    "activation": (str, str, ACTIVATION_KINDS.__contains__,
+                   f"one of {ACTIVATION_KINDS}"),
+}
+
+
+def check_value(value, kind: str, name: str):
+    """value if it passes kind (a VALUE_KINDS key), else a ValueError
+    '<name> must be <what>, got <value>'."""
+    _, cls, test, what = VALUE_KINDS[kind]
+    if not (isinstance(value, cls) and (test is None or test(value))):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
     return value
 
 
-# value kind -> the parser for its text and what the text must be
-VALUE_KINDS = {"int": (int, "an integer"), "float": (float, "a number"),
-               "finite": (_parse_finite, "a finite number"),
-               "bool": (_parse_bool, "a boolean"), "str": (str, "a string")}
+def check_values(values, kinds: dict[str, str]):
+    """check_value on values[key] for each key of kinds, in kinds' order."""
+    for key, kind in kinds.items():
+        check_value(values[key], kind, key)
 
 
 def parse_value(text: str, kind: str, name: str):
-    """text as a value of kind (a VALUE_KINDS key); a ValueError names name."""
-    parse, what = VALUE_KINDS[kind]
+    """check_value of text parsed as kind, or of text that does not parse."""
     try:
-        return parse(text)
+        value = VALUE_KINDS[kind][0](text)
     except ValueError:
-        raise ValueError(f"{name} must be {what}, got {text!r}") from None
-
-
-def check_at_least(values, bounds: dict[str, int]):
-    """Reject the first key of bounds whose entry in values is below it."""
-    for key, least in bounds.items():
-        if values[key] < least:
-            raise ValueError(f"{key} must be >= {least}, got {values[key]}")
+        value = text
+    return check_value(value, kind, name)
 
 
 def parse_key_values(text: str, kinds: dict[str, str], what: str) -> dict:
@@ -273,8 +275,19 @@ def parse_key_values(text: str, kinds: dict[str, str], what: str) -> dict:
             for key, value in pairs.items()}
 
 
-_MANIFEST_KINDS = {"width": "int", "num_classes": "int", "h": "finite",
-                   "activation": "str", "n": "int", "bands": "int"}
+MANIFEST_KINDS = {"width": "int>=1", "num_classes": "int>=2", "h": "finite",
+                  "activation": "activation", "n": "int>=0", "bands": "int>=1"}
+
+
+def kernel_stack(name: str, weights, shape: tuple) -> np.ndarray:
+    """weights as a kernel stack (as_kernel_stack) of shape, where None
+    allows any size."""
+    stack = as_kernel_stack(weights)
+    if any(want not in (None, got) for want, got in zip(shape, stack.shape)):
+        wanted = ", ".join("*" if d is None else str(d) for d in shape)
+        raise ValueError(f"{name} must have shape ({wanted}), "
+                         f"got {stack.shape}")
+    return stack
 
 
 def save_params(directory, params: NetworkParams):
@@ -299,27 +312,23 @@ def save_params(directory, params: NetworkParams):
 def load_params(directory) -> NetworkParams:
     directory = Path(directory)
     with in_file(directory / "manifest.txt") as path:
-        manifest = parse_key_values(path.read_text(), _MANIFEST_KINDS,
+        manifest = parse_key_values(path.read_text(), MANIFEST_KINDS,
                                     "manifest")
-        if missing := [k for k in _MANIFEST_KINDS if k not in manifest]:
+        if missing := [k for k in MANIFEST_KINDS if k not in manifest]:
             raise ValueError(f"missing keys {missing}")
-        check_at_least(manifest, {"bands": 1, "width": 1, "num_classes": 1,
-                                  "n": 0})
-        if manifest["activation"] not in ACTIVATION_KINDS:
-            raise ValueError(f"activation must be one of {ACTIVATION_KINDS}, "
-                             f"got {manifest['activation']!r}")
 
-    def read_stack(name: str, o: int, i: int) -> np.ndarray:
-        flat = read_ftf(directory / name)
-        if flat.shape[0] != o * i:
-            raise ValueError(f"{directory / name}: expected {o * i} kernels, "
-                             f"got {flat.shape[0]}")
-        return flat.reshape(o, i, *flat.shape[1:])
+    def read_stack(name: str, shape: tuple) -> np.ndarray:
+        flat = read_ftf(directory / f"{name}.ftf")
+        with in_file(directory / f"{name}.ftf"):
+            o, i = shape[:2]
+            if flat.shape[0] != o * i:
+                raise ValueError(f"expected {o * i} kernels, got {flat.shape[0]}")
+            return kernel_stack(name, flat.reshape(o, i, *flat.shape[1:]), shape)
 
     width = manifest["width"]
     return NetworkParams(
-        lift=read_stack("lift.ftf", width, manifest["bands"]),
-        layers=tuple(read_stack(f"layer_{j:03d}.ftf", width, width)
+        lift=read_stack("lift", (width, manifest["bands"], 1, 1)),
+        layers=tuple(read_stack(f"layer_{j:03d}", (width, width, None, None))
                      for j in range(manifest["n"])),
-        project=read_stack("project.ftf", manifest["num_classes"], width),
+        project=read_stack("project", (manifest["num_classes"], width, 1, 1)),
         h=manifest["h"], activation=manifest["activation"])

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .losses import ClassMap
-from .network import SelectionSet, check_at_least, parse_value
+from .network import SelectionSet, check_values, parse_value
 from .tensor_ops import in_file
 
 LBL_MAGIC = "LBL1"
@@ -27,7 +27,10 @@ _STREAM_NOISE = 2
 _STREAM_SIGNATURES = 3
 _STREAM_LABELS = 4
 
-_SCENE_BOUNDS = dict(height=1, width=1, channels=1, num_classes=1, blob_count=0)
+# SceneSpec's fields but the signatures -> their VALUE_KINDS
+_SCENE_KINDS = dict(seed="int>=0", height="int>=1", width="int>=1",
+                    channels="int>=1", num_classes="int>=1",
+                    blob_count="int>=0", noise_sigma="finite>=0")
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,7 @@ class SceneSpec:
     signatures: np.ndarray
 
     def __post_init__(self):
-        check_at_least(vars(self), _SCENE_BOUNDS)
+        check_values(vars(self), _SCENE_KINDS)
         sigs = np.ascontiguousarray(np.asarray(self.signatures, dtype=np.float64))
         if sigs.shape != (self.num_classes, self.channels):
             raise ValueError(f"signatures must be ({self.num_classes}, "
@@ -53,8 +56,6 @@ class SceneSpec:
             for b in range(a + 1, self.num_classes):
                 if np.array_equal(sigs[a], sigs[b]):
                     raise ValueError(f"classes {a} and {b} share a signature")
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
-            raise ValueError("noise_sigma must be finite and >= 0")
         object.__setattr__(self, "signatures", sigs)
 
 
@@ -75,8 +76,8 @@ def make_scene_spec(seed: int, height: int = 64, width: int = 64,
     signature accuracy around 0.65, low enough that spatial smoothing of
     the prediction has headroom to help.
     """
-    # before the signatures, whose draw fails on a negative dimension or seed
-    check_at_least(locals(), {**_SCENE_BOUNDS, "seed": 0})
+    # before the signatures, whose draw fails on a bad dimension, seed or scale
+    check_values(locals(), {**_SCENE_KINDS, "signature_scale": "finite"})
     return SceneSpec(seed=seed, height=height, width=width, channels=channels,
                      num_classes=num_classes, blob_count=blob_count,
                      noise_sigma=noise_sigma,
@@ -121,8 +122,8 @@ class LabelBudget:
     seed: int
 
     def __post_init__(self):
-        if self.n_train < 0 or self.n_val < 0:
-            raise ValueError("label counts must be >= 0")
+        check_values(vars(self),
+                     dict(n_train="int>=0", n_val="int>=0", seed="int>=0"))
 
 
 def sample_labels(truth: ClassMap, budget: LabelBudget,

@@ -13,9 +13,9 @@ output rows, at most _BAND_BYTES each, with one BLAS matmul per band. A
 patch matrix that fits one band (64x64 at width 32) gets a single matmul;
 with several bands, results may move in the last bits (BLAS column
 blocking, and the weight gradient's per-band partial sums). Each call
-owns its scratch, freed when it returns: one band, and one zero-bordered
-slab that holds a band's rows of the field plus their halo and is copied
-into the band through a sliding-window view.
+owns a zero-bordered slab that holds a band's rows of the field plus
+their halo and is copied into the band through a sliding-window view;
+the band buffer is the one the last gather to finish left in _spare.
 """
 
 from __future__ import annotations
@@ -54,20 +54,26 @@ def as_kernel_stack(weights) -> np.ndarray:
 
 # patch-matrix bytes per band, so a band's gather is re-read from cache
 _BAND_BYTES = 10 * 2**20
+# the band of the last gather to finish, for the next to take: bands made
+# and freed per call left heap holes that longer-lived arrays split, so in
+# some runs a later band grew the heap, and peak memory, by its whole size
+_spare = {}
 
 
 def _patch_bands(x: np.ndarray, kh: int, kw: int):
     """Yield (start, stop, cols) per band of whole output rows: pixels start:stop
     and their zero-padded (C*kh*kw, stop - start) patch matrix, rows ordered
-    (c, a, b). Every band is gathered into one buffer owned by this call, so
-    cols is valid only until the next band of the same call."""
+    (c, a, b). Every band is gathered into one buffer that this gather
+    holds until it ends, so cols is valid only until its next band."""
     channels, height, width = x.shape
     if kh == 1 and kw == 1:
         yield 0, height * width, x.reshape(channels, height * width)
         return
     ph, pw = kh // 2, kw // 2
     rows = max(1, min(height, _BAND_BYTES // (channels * kh * kw * width * 8)))
-    band = np.empty(channels * kh * kw * rows * width)
+    band = _spare.pop("band", np.empty(0))  # taken, so no two gathers share it
+    if band.size < (size := channels * kh * kw * rows * width):
+        band = np.empty(size)
     # slab row i holds field row r0 - ph + i; its border columns stay zero
     slab = np.zeros((channels, rows + 2 * ph, width + 2 * pw))
     for r0 in range(0, height, rows):
@@ -82,6 +88,7 @@ def _patch_bands(x: np.ndarray, kh: int, kw: int):
             channels, kh, kw, r1 - r0, width)
         np.copyto(cols, windows.transpose(0, 3, 4, 1, 2))
         yield r0 * width, r1 * width, cols.reshape(channels * kh * kw, -1)
+    _spare["band"] = band
 
 
 def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -141,20 +148,13 @@ _ACTIVATIONS = {
 ACTIVATION_KINDS = tuple(sorted(_ACTIVATIONS))
 
 
-def _lookup(kind: str):
-    try:
-        return _ACTIVATIONS[kind]
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}, expected one of {ACTIVATION_KINDS}")
-
-
 def activate(z: np.ndarray, kind: str, out=None) -> np.ndarray:
-    return _lookup(kind)[0](z, out=out)
+    return _ACTIVATIONS[kind][0](z, out=out)
 
 
 def activate_deriv(a: np.ndarray, kind: str) -> np.ndarray:
     """f'(z) from a = f(z): 1 - a**2 or [a > 0], with no transcendental call."""
-    return _lookup(kind)[1](a)
+    return _ACTIVATIONS[kind][1](a)
 
 
 def write_ftf(path, field: np.ndarray) -> None:
@@ -192,4 +192,6 @@ def read_ftf(path) -> np.ndarray:
         if len(blob) != expected:
             raise ValueError(f"expected {expected} bytes, found {len(blob)}")
         data = np.frombuffer(blob, dtype="<f8", offset=_FTF_HEADER)
+        if not (finite := np.isfinite(data)).all():
+            raise ValueError(f"values must be finite, got {data[np.argmin(finite)]}")
         return as_field(data.reshape(channels, height, width).astype(np.float64))

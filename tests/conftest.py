@@ -1,10 +1,11 @@
-"""Shared pytest plumbing: the acceptance-criteria summary section and
-scene directories with one defect each."""
+"""Shared pytest plumbing: the acceptance-criteria summary section, and
+scene and params directories with one defect each."""
 
 import numpy as np
 import pytest
 
 from stepseg.losses import ClassMap
+from stepseg.network import save_params
 from stepseg.synth import (
     LabelBudget,
     gen_scene,
@@ -13,7 +14,8 @@ from stepseg.synth import (
     write_class_map,
     write_selection,
 )
-from stepseg.training import Dataset, save_dataset
+from stepseg.tensor_ops import write_ftf
+from stepseg.training import Dataset, init_params, save_dataset
 
 # test_acceptance.py appends one line per criterion; printed after the run
 # so the verdicts are visible even when every test passes.
@@ -30,6 +32,7 @@ BAD_SCENES = {
         "train_labels.lbl: width must be an integer, got 'x'",
     "negative_class_id": "train_labels.lbl: negative class id",
     "duplicate_label": "train_labels.lbl: duplicate labeled pixel",
+    "nonfinite_ftf": "data.ftf: values must be finite, got nan",
 }
 
 
@@ -59,6 +62,8 @@ def bad_scene(request, tmp_path):
     elif request.param == "duplicate_label":
         (directory / "train_labels.lbl").write_text(
             "LBL1 12 12\n1 2 0\n1 2 0\n")
+    elif request.param == "nonfinite_ftf":
+        write_ftf(directory / "data.ftf", np.full_like(data, np.nan))
     elif request.param == "truncated_ftf":
         ftf = directory / "data.ftf"
         ftf.write_bytes(ftf.read_bytes()[:20])
@@ -66,6 +71,44 @@ def bad_scene(request, tmp_path):
         header = np.array([0, 12, 12], dtype="<u8").tobytes()
         (directory / "data.ftf").write_bytes(b"FTF1" + header)
     return directory, BAD_SCENES[request.param]
+
+
+# defect in a saved 3-band, width-4, 2-class params directory -> the file at
+# fault and the message after its path; each kernel file keeps its count
+BAD_PARAMS = {
+    "lift_3x3": ("lift.ftf",
+                 "lift must have shape (4, 3, 1, 1), got (4, 3, 3, 3)"),
+    "layer_2x2": ("layer_000.ftf",
+                  "kernel spatial dims must be odd, got (2, 2)"),
+    "project_3x3": ("project.ftf",
+                    "project must have shape (2, 4, 1, 1), got (2, 4, 3, 3)"),
+    "single_class": ("manifest.txt",
+                     "num_classes must be an integer >= 2, got 1"),
+}
+
+
+@pytest.fixture(params=sorted(BAD_PARAMS))
+def bad_params(request, tmp_path):
+    """A params directory with one defect, and the error line that rejects
+    it: the full path of the file at fault, then the message."""
+    directory = tmp_path / "params"
+    save_params(directory, init_params(bands=3, num_classes=2, width=4,
+                                       steps=2, activation="tanh", h=1.0,
+                                       seed=1))
+    if request.param == "lift_3x3":
+        write_ftf(directory / "lift.ftf", np.ones((12, 3, 3)))
+    elif request.param == "layer_2x2":
+        write_ftf(directory / "layer_000.ftf", np.ones((16, 2, 2)))
+    elif request.param == "project_3x3":
+        write_ftf(directory / "project.ftf", np.ones((8, 3, 3)))
+    else:
+        # with a project.ftf that matches num_classes=1
+        write_ftf(directory / "project.ftf", np.ones((4, 1, 1)))
+        manifest = directory / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("num_classes=2",
+                                                         "num_classes=1"))
+    name, message = BAD_PARAMS[request.param]
+    return directory, f"{directory / name}: {message}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -115,13 +115,6 @@ class TestTerminalMultiplier:
         assert terminal.reg_value == stepseg.regularizer.smoother_value(
             trace.output)
 
-    def test_bad_alpha_rejected(self):
-        params, data, q = small_instance(5)
-        trace = forward(params, data)
-        for alpha in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="alpha"):
-                terminal_multiplier(trace, q, alpha=alpha)
-
 
 class TestBackward:
     def test_zero_terminal_gives_zero_gradients(self):

@@ -92,7 +92,8 @@ class TestGenData:
                          "--out", str(tmp_path / "scene")])
             assert code == EXIT_CONFIG_ERROR
             err = capsys.readouterr().err
-            assert err == f"error: {dimension} must be >= 1, got {value}\n"
+            assert err == (f"error: {dimension} must be an integer >= 1, "
+                           f"got {value}\n")
             assert "signature" not in err
 
 
@@ -100,7 +101,20 @@ class TestGenData:
         code = main(["gen-data", "--seed", "-1", *TINY_SCENE,
                      "--out", str(tmp_path / "scene")])
         assert code == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == (
+            "error: seed must be an integer >= 0, got -1\n")
+        assert not (tmp_path / "scene").exists()
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_nonfinite_signature_scale_is_named(self, tmp_path, capsys,
+                                                scale):
+        # a non-finite scale would make every data value non-finite
+        code = main(["gen-data", "--seed", "1", *TINY_SCENE,
+                     "--signature-scale", scale,
+                     "--out", str(tmp_path / "scene")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: signature_scale must be a finite number, got {scale}\n")
         assert not (tmp_path / "scene").exists()
 
 
@@ -228,20 +242,24 @@ class TestSweep:
                      "--out", str(tmp_path / "out"), "--jobs", "0"])
         assert code == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
-        assert err == "error: jobs must be >= 1, got 0\n"
+        assert err == "error: --jobs must be an integer >= 1, got 0\n"
 
     def test_malformed_alpha_list_is_config_error(self, tmp_path, scene_dir,
                                                   capsys):
         cfg = write_config(tmp_path)
-        # a list item that does not parse names its flag; an item that
-        # parses but is out of range names the config key it sets
+        # every bad list item, and a repeated one, names its flag
         for alphas, seeds, line in (
                 ("0,banana", "1",
-                 "--alphas item must be a number, got 'banana'"),
-                ("0", "1.5", "--seeds item must be an integer, got '1.5'"),
-                ("0,inf", "1", "alpha must be finite and >= 0, got inf"),
-                ("0,-1", "1", "alpha must be finite and >= 0, got -1.0"),
-                ("0", "1,-1", "seed must be >= 0, got -1")):
+                 "--alphas item must be a finite number >= 0, got 'banana'"),
+                ("0", "1.5",
+                 "--seeds item must be an integer >= 0, got '1.5'"),
+                ("0,inf", "1",
+                 "--alphas item must be a finite number >= 0, got inf"),
+                ("0,-1", "1",
+                 "--alphas item must be a finite number >= 0, got -1.0"),
+                ("0", "1,-1", "--seeds item must be an integer >= 0, got -1"),
+                ("0,0.0", "1", "--alphas items must be distinct, got '0,0.0'"),
+                ("0", "1,01", "--seeds items must be distinct, got '1,01'")):
             code = main(["sweep", "--config", str(cfg), "--alphas", alphas,
                          "--seeds", seeds, "--data", str(scene_dir),
                          "--out", str(tmp_path / "out")])
@@ -329,8 +347,8 @@ class TestEval:
             f"error: {scene / 'truth.lbl'}: header is 8x8, data.ftf is 16x16\n")
 
     @pytest.mark.parametrize("line,message", [
-        ("n=-1", "n must be >= 0, got -1"),
-        ("width=x", "width must be an integer, got 'x'"),
+        ("n=-1", "n must be an integer >= 0, got -1"),
+        ("width=x", "width must be an integer >= 1, got 'x'"),
         ("h=x", "h must be a finite number, got 'x'"),
         ("activation=gelu",
          "activation must be one of ('relu', 'tanh'), got 'gelu'")])
@@ -350,6 +368,31 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.err == f"error: {manifest}: {message}\n"
         assert captured.out == ""
+
+    def test_bad_params_name_the_file_at_fault(self, tmp_path, scene_dir,
+                                               bad_params, capsys):
+        directory, line = bad_params
+        code = main(["eval", "--params", str(directory),
+                     "--data", str(scene_dir), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {line}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_band_mismatch_names_the_data_file(self, tmp_path, scene_dir,
+                                               capsys):
+        # params for 16 bands against the 3-band scene
+        save_params(tmp_path / "params",
+                    init_params(bands=16, num_classes=2, width=4, steps=2,
+                                activation="tanh", h=1.0, seed=1))
+        capsys.readouterr()
+        code = main(["eval", "--params", str(tmp_path / "params"),
+                     "--data", str(scene_dir), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {scene_dir / 'data.ftf'}: data has 3 bands, "
+            f"network expects 16\n")
+        assert not (tmp_path / "o").exists()
 
     def test_missing_params_dir_is_config_error(self, tmp_path, scene_dir):
         code = main(["eval", "--params", str(tmp_path / "nope"),
@@ -372,7 +415,16 @@ class TestGradcheck:
 
     def test_negative_seed_is_named(self, capsys):
         assert main(["gradcheck", "--seed", "-1"]) == EXIT_CONFIG_ERROR
-        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert capsys.readouterr().err == (
+            "error: seed must be an integer >= 0, got -1\n")
+
+    @pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
+    def test_bad_alpha_is_named(self, capsys, alpha):
+        assert main(["gradcheck", "--seed", "1", "--alpha", alpha]) == \
+            EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: --alpha must be a finite number >= 0, "
+            f"got {float(alpha)!r}\n")
 
     def test_threshold_failure_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(stepseg.cli, "gradcheck",

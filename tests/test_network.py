@@ -67,11 +67,14 @@ class TestNetworkParams:
 
     def test_layer_width_mismatch(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="layer 1"):
+        with pytest.raises(ValueError) as info:
             NetworkParams(lift=rng.standard_normal((4, 3, 1, 1)),
                           layers=(rng.standard_normal((4, 4, 3, 3)),
                                   rng.standard_normal((5, 4, 3, 3))),
                           project=rng.standard_normal((2, 4, 1, 1)))
+        # named as its file is, layer_001.ftf
+        assert str(info.value) == ("layer_001 must have shape (4, 4, *, *), "
+                                   "got (5, 4, 3, 3)")
 
     def test_single_class_rejected(self):
         rng = np.random.default_rng(0)
@@ -79,16 +82,6 @@ class TestNetworkParams:
             NetworkParams(lift=rng.standard_normal((4, 3, 1, 1)),
                           layers=(),
                           project=rng.standard_normal((1, 4, 1, 1)))
-
-    def test_unknown_activation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="activation"):
-            random_params(rng, activation="sigmoid")
-
-    def test_nonfinite_step_size(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="step size"):
-            random_params(rng, h=float("nan"))
 
 
 class TestForward:
@@ -417,15 +410,15 @@ class TestSaveLoad:
                 f"{manifest}: unknown manifest line {extra!r}")
 
     @pytest.mark.parametrize("line,message", [
-        ("n=-1", "n must be >= 0, got -1"),
-        ("bands=0", "bands must be >= 1, got 0"),
-        ("width=0", "width must be >= 1, got 0"),
-        ("num_classes=-2", "num_classes must be >= 1, got -2"),
-        ("n=2.0", "n must be an integer, got '2.0'"),
-        ("width=x", "width must be an integer, got 'x'"),
+        ("n=-1", "n must be an integer >= 0, got -1"),
+        ("bands=0", "bands must be an integer >= 1, got 0"),
+        ("width=0", "width must be an integer >= 1, got 0"),
+        ("num_classes=-2", "num_classes must be an integer >= 2, got -2"),
+        ("n=2.0", "n must be an integer >= 0, got '2.0'"),
+        ("width=x", "width must be an integer >= 1, got 'x'"),
         ("h=x", "h must be a finite number, got 'x'"),
-        ("h=nan", "h must be a finite number, got 'nan'"),
-        ("h=inf", "h must be a finite number, got 'inf'"),
+        ("h=nan", "h must be a finite number, got nan"),
+        ("h=inf", "h must be a finite number, got inf"),
         ("activation=gelu",
          "activation must be one of ('relu', 'tanh'), got 'gelu'"),
         # the last width wins, so the kernel stack is the file at fault
@@ -439,6 +432,12 @@ class TestSaveLoad:
         # the full path of the file at fault, the manifest unless named
         assert str(info.value) in (f"{manifest}: {message}",
                                    f"{manifest.parent}{os.sep}{message}")
+
+    def test_bad_params_name_the_file_at_fault(self, bad_params):
+        directory, line = bad_params
+        with pytest.raises(ValueError) as info:
+            load_params(directory)
+        assert str(info.value) == line
 
     def test_wrong_kernel_count_rejected(self, tmp_path):
         params = random_params(np.random.default_rng(18), width=4)

@@ -53,7 +53,7 @@ class TestSceneSpec:
         # before numpy's seeding, whose message does not name the seed
         with pytest.raises(ValueError) as info:
             make_scene_spec(seed=-1)
-        assert str(info.value) == "seed must be >= 0, got -1"
+        assert str(info.value) == "seed must be an integer >= 0, got -1"
 
     def test_signatures_depend_only_on_seed_and_scale(self):
         a = random_signatures(2, 16, scale=1.0, seed=7)
@@ -160,7 +160,8 @@ class TestSampleLabels:
             sample_labels(checkerboard_truth(4), LabelBudget(12, 5, seed=0))
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError, match="label counts"):
+        with pytest.raises(ValueError,
+                           match="n_train must be an integer >= 0, got -1"):
             LabelBudget(-1, 2, seed=0)
 
     def test_unlabeled_pixels_never_sampled(self):

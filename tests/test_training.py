@@ -13,7 +13,15 @@ import stepseg.training
 from stepseg.adjoint import gradient
 from stepseg.cli import EXIT_OK, main
 from stepseg.losses import UNLABELED, ClassMap, iou
-from stepseg.network import NetworkParams, SelectionSet, forward, save_params
+from stepseg.network import (
+    MANIFEST_KINDS,
+    VALUE_KINDS,
+    NetworkParams,
+    SelectionSet,
+    forward,
+    load_params,
+    save_params,
+)
 from stepseg.synth import (
     LabelBudget,
     augment,
@@ -23,6 +31,7 @@ from stepseg.synth import (
     sample_labels,
 )
 from stepseg.training import (
+    CONFIG_KINDS,
     Dataset,
     SweepRecord,
     TrainConfig,
@@ -145,16 +154,16 @@ class TestParseConfig:
             parse_config("augmentation=maybe\n")
 
     @pytest.mark.parametrize("line,message", [
-        ("iterations=x", "iterations must be an integer, got 'x'"),
-        ("seed=2.0", "seed must be an integer, got '2.0'"),
-        ("lr0=fast", "lr0 must be a number, got 'fast'"),
+        ("iterations=x", "iterations must be an integer >= 0, got 'x'"),
+        ("seed=2.0", "seed must be an integer >= 0, got '2.0'"),
+        ("lr0=fast", "lr0 must be a finite number >= 0, got 'fast'"),
         ("augmentation=maybe", "augmentation must be a boolean, got 'maybe'"),
-        ("iterations=-1", "iterations must be >= 0, got -1"),
-        ("width=0", "width must be >= 1, got 0"),
-        ("steps=-2", "steps must be >= 0, got -2"),
-        ("decay_every=0", "decay_every must be >= 1, got 0"),
-        ("eval_every=0", "eval_every must be >= 1, got 0"),
-        ("seed=-1", "seed must be >= 0, got -1")])
+        ("iterations=-1", "iterations must be an integer >= 0, got -1"),
+        ("width=0", "width must be an integer >= 1, got 0"),
+        ("steps=-2", "steps must be an integer >= 0, got -2"),
+        ("decay_every=0", "decay_every must be an integer >= 1, got 0"),
+        ("eval_every=0", "eval_every must be an integer >= 1, got 0"),
+        ("seed=-1", "seed must be an integer >= 0, got -1")])
     def test_bad_value_names_its_key(self, line, message):
         with pytest.raises(ValueError) as info:
             parse_config(line + "\n")
@@ -184,6 +193,47 @@ class TestParseConfig:
         with np.errstate(over="ignore", invalid="ignore"):
             result = train(cfg, data, train_sel, val_sel)
         assert result.status in ("ok", "diverged")
+
+
+# a value outside each value kind, written to a file as str(value)
+OUTSIDE_KIND = {"int>=0": -1, "int>=1": 0, "int>=2": 1, "finite": math.nan,
+                "finite>=0": -1.0, "(0,1]": 1.5, "bool": "maybe",
+                "activation": "gelu"}
+
+
+def outside_kind(kinds, key):
+    """A value outside key's kind and the one error line that rejects it."""
+    kind = kinds[key]
+    value = OUTSIDE_KIND[kind]
+    return value, f"{key} must be {VALUE_KINDS[kind][3]}, got {value!r}"
+
+
+class TestKindTables:
+    """Every key of the config and manifest kinds, driven by the tables, so
+    a key added later is covered here."""
+
+    def test_config_kinds_name_every_field(self):
+        assert list(CONFIG_KINDS) == [f.name for f in fields(TrainConfig)]
+
+    @pytest.mark.parametrize("key", list(CONFIG_KINDS))
+    def test_config_value_outside_its_kind(self, key):
+        value, message = outside_kind(CONFIG_KINDS, key)
+        with pytest.raises(ValueError) as info:
+            parse_config(f"{key}={value}\n")
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            TrainConfig(**{key: value})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("key", list(MANIFEST_KINDS))
+    def test_manifest_value_outside_its_kind(self, tmp_path, key):
+        value, message = outside_kind(MANIFEST_KINDS, key)
+        save_params(tmp_path, init_params(3, 2, 4, 2, "tanh", 1.0, seed=1))
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(manifest.read_text() + f"{key}={value}\n")
+        with pytest.raises(ValueError) as info:
+            load_params(tmp_path)
+        assert str(info.value) == f"{manifest}: {message}"
 
 
 class TestInitParams:
