@@ -15,8 +15,8 @@ from .adjoint import gradcheck
 from .network import check_value, load_params, parse_value, save_params
 from .synth import (
     LabelBudget,
+    SceneSpec,
     gen_scene,
-    make_scene_spec,
     sample_labels,
     write_class_map,
 )
@@ -58,12 +58,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-data", help="write a synthetic labeled scene")
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--size", default="64x64", help="HxW, e.g. 64x64")
-    gen.add_argument("--bands", type=int, default=16)
-    gen.add_argument("--classes", type=int, default=2)
-    gen.add_argument("--noise", type=float, default=1.2)
-    gen.add_argument("--blobs", type=int, default=6)
-    gen.add_argument("--signature-scale", type=float, default=0.17)
+    gen.add_argument("--size", default=f"{SceneSpec.height}x{SceneSpec.width}",
+                     help="HxW, e.g. 64x64")
+    gen.add_argument("--bands", type=int, default=SceneSpec.channels)
+    gen.add_argument("--classes", type=int, default=SceneSpec.num_classes)
+    gen.add_argument("--noise", type=float, default=SceneSpec.noise_sigma)
+    gen.add_argument("--blobs", type=int, default=SceneSpec.blob_count)
+    gen.add_argument("--signature-scale", type=float,
+                     default=SceneSpec.signature_scale)
     gen.add_argument("--train-labels", type=int, default=200)
     gen.add_argument("--val-labels", type=int, default=50)
     gen.add_argument("--out", required=True)
@@ -110,12 +112,20 @@ def _parse_list(text: str, kind: str, flag: str) -> list:
     return items
 
 
+def _out_dir(text: str) -> Path:
+    """--out, created once the inputs are read and before the long work,
+    so that a bad path fails fast."""
+    out = Path(text)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _cmd_gen_data(args) -> int:
     height, width = _parse_size(args.size)
-    spec = make_scene_spec(seed=args.seed, height=height, width=width,
-                           channels=args.bands, num_classes=args.classes,
-                           blob_count=args.blobs, noise_sigma=args.noise,
-                           signature_scale=args.signature_scale)
+    spec = SceneSpec(seed=args.seed, height=height, width=width,
+                     channels=args.bands, num_classes=args.classes,
+                     blob_count=args.blobs, noise_sigma=args.noise,
+                     signature_scale=args.signature_scale)
     data, truth = gen_scene(spec)
     budget = LabelBudget(n_train=args.train_labels, n_val=args.val_labels,
                          seed=args.seed)
@@ -131,9 +141,8 @@ def _cmd_train(args) -> int:
     with in_file(args.config):
         config = parse_config(Path(args.config).read_text())
     dataset = load_dataset(args.data)
+    out = _out_dir(args.out)
     result = train(config, dataset.data, dataset.train, dataset.val)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_params(out / "params", result.params)
     (out / "history.csv").write_text(csv_text(
         [f.name for f in fields(IterationLog)], map(astuple, result.history)))
@@ -153,10 +162,10 @@ def _cmd_sweep(args) -> int:
     alphas = _parse_list(args.alphas, "finite>=0", "--alphas")
     seeds = _parse_list(args.seeds, "int>=0", "--seeds")
     check_value(args.jobs, "int>=1", "--jobs")
-    dataset = load_dataset(args.data)
+    # alpha* is chosen by validation mIoU
+    dataset = load_dataset(args.data, need_val=True)
+    out = _out_dir(args.out)
     result = sweep(config, alphas, seeds, dataset, jobs=args.jobs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "sweep.csv").write_text(sweep_csv(result.records))
     (out / "summary.txt").write_text(result.summary())
     print(result.summary(), end="")
@@ -169,8 +178,7 @@ def _cmd_eval(args) -> int:
     # a band count that differs from the params' is data.ftf's fault
     with in_file(Path(args.data) / "data.ftf"):
         report, pred = evaluate(params, data, truth)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     write_class_map(out / "prediction.lbl", pred)
     # one row per class with a defined IoU; alpha is empty for a single run
     (out / "iou.csv").write_text(csv_text(
@@ -183,9 +191,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     check_value(args.alpha, "finite>=0", "--alpha")
-    spec = make_scene_spec(seed=args.seed, height=8, width=8, channels=3,
-                           num_classes=2, blob_count=3, noise_sigma=0.5,
-                           signature_scale=1.0)
+    spec = SceneSpec(seed=args.seed, height=8, width=8, channels=3,
+                     num_classes=2, blob_count=3, noise_sigma=0.5,
+                     signature_scale=1.0)
     data, truth = gen_scene(spec)
     labels, _ = sample_labels(truth, LabelBudget(n_train=10, n_val=0,
                                                  seed=args.seed))
@@ -204,8 +212,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except FloatingPointError as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)

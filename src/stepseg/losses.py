@@ -25,6 +25,9 @@ class ClassMap:
         values = np.asarray(self.values, dtype=np.int64)
         if values.ndim != 2:
             raise ValueError(f"class map must be 2-d, got shape {values.shape}")
+        if values.size and values.min() < UNLABELED:
+            raise ValueError(f"class ids must be >= {UNLABELED}, "
+                             f"got {values.min()}")
         object.__setattr__(self, "values", values)
 
     @property

@@ -9,7 +9,8 @@ keyed so identical seeds give bitwise-identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -27,62 +28,47 @@ _STREAM_NOISE = 2
 _STREAM_SIGNATURES = 3
 _STREAM_LABELS = 4
 
-# SceneSpec's fields but the signatures -> their VALUE_KINDS
+# SceneSpec's init fields -> their VALUE_KINDS
 _SCENE_KINDS = dict(seed="int>=0", height="int>=1", width="int>=1",
                     channels="int>=1", num_classes="int>=1",
-                    blob_count="int>=0", noise_sigma="finite>=0")
+                    blob_count="int>=0", noise_sigma="finite>=0",
+                    signature_scale="finite")
 
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Everything that determines one synthetic scene."""
+    """Everything that determines one synthetic scene.
+
+    The signatures, one Gaussian vector per class scaled by signature_scale,
+    are drawn from the seed. The default noise level and signature scale put
+    per-pixel nearest-signature accuracy around 0.65, low enough that spatial
+    smoothing of the prediction has headroom to help.
+    """
 
     seed: int
-    height: int
-    width: int
-    channels: int
-    num_classes: int
-    blob_count: int
-    noise_sigma: float
-    signatures: np.ndarray
+    height: int = 64
+    width: int = 64
+    channels: int = 16
+    num_classes: int = 2
+    blob_count: int = 6
+    noise_sigma: float = 1.2
+    signature_scale: float = 0.17
+    signatures: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_values(vars(self), _SCENE_KINDS)
-        sigs = np.ascontiguousarray(np.asarray(self.signatures, dtype=np.float64))
-        if sigs.shape != (self.num_classes, self.channels):
-            raise ValueError(f"signatures must be ({self.num_classes}, "
-                             f"{self.channels}), got {sigs.shape}")
-        for a in range(self.num_classes):
-            for b in range(a + 1, self.num_classes):
-                if np.array_equal(sigs[a], sigs[b]):
-                    raise ValueError(f"classes {a} and {b} share a signature")
+        rng = np.random.default_rng([self.seed, _STREAM_SIGNATURES])
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            sigs = self.signature_scale * rng.standard_normal(
+                (self.num_classes, self.channels))
+        if not np.all(np.isfinite(sigs)) or any(
+                np.array_equal(a, b) for a, b in combinations(sigs, 2)):
+            raise ValueError(f"signature_scale must give finite, distinct "
+                             f"class signatures, got {self.signature_scale!r}")
         object.__setattr__(self, "signatures", sigs)
 
 
-def random_signatures(num_classes: int, channels: int, scale: float,
-                      seed: int) -> np.ndarray:
-    """Seeded Gaussian signature vectors, one per class, scaled by scale."""
-    rng = np.random.default_rng([seed, _STREAM_SIGNATURES])
-    return scale * rng.standard_normal((num_classes, channels))
-
-
-def make_scene_spec(seed: int, height: int = 64, width: int = 64,
-                    channels: int = 16, num_classes: int = 2,
-                    blob_count: int = 6, noise_sigma: float = 1.2,
-                    signature_scale: float = 0.17) -> SceneSpec:
-    """SceneSpec with signatures derived from the same seed.
-
-    The default noise level and signature scale put per-pixel nearest-
-    signature accuracy around 0.65, low enough that spatial smoothing of
-    the prediction has headroom to help.
-    """
-    # before the signatures, whose draw fails on a bad dimension, seed or scale
-    check_values(locals(), {**_SCENE_KINDS, "signature_scale": "finite"})
-    return SceneSpec(seed=seed, height=height, width=width, channels=channels,
-                     num_classes=num_classes, blob_count=blob_count,
-                     noise_sigma=noise_sigma,
-                     signatures=random_signatures(num_classes, channels,
-                                                  signature_scale, seed))
+make_scene_spec = SceneSpec
 
 
 def gen_scene(spec: SceneSpec) -> tuple[np.ndarray, ClassMap]:
@@ -147,47 +133,45 @@ def sample_labels(truth: ClassMap, budget: LabelBudget,
             build(perm[budget.n_train:budget.n_train + budget.n_val]))
 
 
-def _transform_pool(height: int, width: int) -> tuple[str, ...]:
-    pool = ("identity", "hflip", "vflip", "rot180")
-    if height == width:
-        pool = pool + ("rot90", "rot270")
-    return pool
+# the symmetries of a field's last two axes, each a view; the quarter
+# turns swap the axes, so they keep only a square field's shape
+_TRANSFORMS = {
+    "identity": lambda a: a,
+    "hflip": lambda a: a[..., ::-1],
+    "vflip": lambda a: a[..., ::-1, :],
+    "rot180": lambda a: a[..., ::-1, ::-1],
+    "rot90": lambda a: np.rot90(a, 1, axes=(-2, -1)),
+    "rot270": lambda a: np.rot90(a, 3, axes=(-2, -1)),
+}
 
 
 def apply_transform(name: str, data: np.ndarray, sel: SelectionSet,
                     ) -> tuple[np.ndarray, SelectionSet]:
-    """One named symmetry applied to a field and its label coordinates."""
-    height, width = data.shape[1], data.shape[2]
-    r, c = sel.rows, sel.cols
-    if name == "identity":
-        return data, sel
-    if name == "hflip":
-        out = data[:, :, ::-1]
-        r2, c2 = r, width - 1 - c
-    elif name == "vflip":
-        out = data[:, ::-1, :]
-        r2, c2 = height - 1 - r, c
-    elif name == "rot180":
-        out = data[:, ::-1, ::-1]
-        r2, c2 = height - 1 - r, width - 1 - c
-    elif name == "rot90":
-        out = np.rot90(data, k=1, axes=(1, 2))
-        r2, c2 = width - 1 - c, r
-    elif name == "rot270":
-        out = np.rot90(data, k=3, axes=(1, 2))
-        r2, c2 = c, height - 1 - r
-    else:
+    """One named symmetry applied to a field and its label coordinates.
+
+    The same operation moves a grid of flat pixel indices, so each label
+    lands where the moved grid holds its old index.
+    """
+    if name not in _TRANSFORMS:
         raise ValueError(f"unknown transform {name!r}")
-    if name in ("rot90", "rot270") and height != width:
-        raise ValueError("90-degree rotations need a square field")
-    return (np.ascontiguousarray(out),
-            SelectionSet(rows=r2, cols=c2, classes=sel.classes))
+    move = _TRANSFORMS[name]
+    height, width = data.shape[-2:]
+    grid = move(np.arange(height * width).reshape(height, width))
+    if grid.shape != (height, width):
+        raise ValueError(f"{name} needs a square field, got {height}x{width}")
+    landing = np.empty(grid.size, dtype=np.int64)
+    landing[grid.ravel()] = np.arange(grid.size)
+    rows, cols = np.divmod(landing[sel.rows * width + sel.cols], width)
+    return (np.ascontiguousarray(move(data)),
+            SelectionSet(rows=rows, cols=cols, classes=sel.classes))
 
 
 def augment(data: np.ndarray, train_labels: SelectionSet, seed: int,
             step: int) -> tuple[np.ndarray, SelectionSet]:
-    """A per-step seeded draw from the flip/rotation pool, labels kept aligned."""
-    pool = _transform_pool(data.shape[1], data.shape[2])
+    """A per-step seeded draw from the symmetries that keep the field's
+    shape, labels kept aligned."""
+    pool = [name for name, move in _TRANSFORMS.items()
+            if move(data).shape == data.shape]
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(step,)))
     name = pool[int(rng.integers(0, len(pool)))]

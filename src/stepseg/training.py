@@ -237,15 +237,19 @@ def load_scene(directory) -> tuple[np.ndarray, ClassMap]:
     return data, truth
 
 
-def load_dataset(directory) -> Dataset:
-    """Read a scene directory; every label file must share data.ftf's H x W."""
+def load_dataset(directory, need_val: bool = False) -> Dataset:
+    """Read a scene directory; every label file must share data.ftf's H x W,
+    and train_labels.lbl (and val_labels.lbl if need_val) must hold a label."""
     directory = Path(directory)
     data, truth = load_scene(directory)
-    train_sel, train_shape = read_selection(directory / "train_labels.lbl")
-    _check_header(directory / "train_labels.lbl", train_shape, data)
-    val_sel, val_shape = read_selection(directory / "val_labels.lbl")
-    _check_header(directory / "val_labels.lbl", val_shape, data)
-    return Dataset(data=data, truth=truth, train=train_sel, val=val_sel)
+    labels = {}
+    for name, needed in (("train", True), ("val", need_val)):
+        path = directory / f"{name}_labels.lbl"
+        labels[name], shape = read_selection(path)
+        _check_header(path, shape, data)
+        if needed and not len(labels[name]):
+            raise ValueError(f"{path}: holds no labels")
+    return Dataset(data=data, truth=truth, **labels)
 
 
 @dataclass(frozen=True)

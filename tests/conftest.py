@@ -33,6 +33,7 @@ BAD_SCENES = {
     "negative_class_id": "train_labels.lbl: negative class id",
     "duplicate_label": "train_labels.lbl: duplicate labeled pixel",
     "nonfinite_ftf": "data.ftf: values must be finite, got nan",
+    "truth_id_below_unlabeled": "truth.lbl: class ids must be >= -1, got -7",
 }
 
 
@@ -62,6 +63,12 @@ def bad_scene(request, tmp_path):
     elif request.param == "duplicate_label":
         (directory / "train_labels.lbl").write_text(
             "LBL1 12 12\n1 2 0\n1 2 0\n")
+    elif request.param == "truth_id_below_unlabeled":
+        lines = (directory / "truth.lbl").read_text().splitlines()
+        row = lines[5].split()
+        row[5] = "-7"
+        lines[5] = " ".join(row)
+        (directory / "truth.lbl").write_text("\n".join(lines) + "\n")
     elif request.param == "nonfinite_ftf":
         write_ftf(directory / "data.ftf", np.full_like(data, np.nan))
     elif request.param == "truncated_ftf":

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,12 @@ from stepseg.cli import (
 )
 from stepseg.losses import ClassMap
 from stepseg.network import load_params, save_params
-from stepseg.synth import read_class_map, write_class_map
+from stepseg.synth import (
+    SceneSpec,
+    gen_scene,
+    read_class_map,
+    write_class_map,
+)
 from stepseg.training import evaluate, init_params, load_dataset
 
 TINY_SCENE = ["--size", "12x12", "--bands", "3", "--train-labels", "20",
@@ -105,17 +111,30 @@ class TestGenData:
             "error: seed must be an integer >= 0, got -1\n")
         assert not (tmp_path / "scene").exists()
 
-    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    @pytest.mark.parametrize("scale,message", [
+        ("nan", "must be a finite number, got nan"),
+        ("inf", "must be a finite number, got inf"),
+        # finite, but the signatures it scales overflow
+        ("1e308", "must give finite, distinct class signatures, got 1e+308"),
+    ], ids=["nan", "inf", "1e308"])
     def test_nonfinite_signature_scale_is_named(self, tmp_path, capsys,
-                                                scale):
+                                                scale, message):
         # a non-finite scale would make every data value non-finite
-        code = main(["gen-data", "--seed", "1", *TINY_SCENE,
-                     "--signature-scale", scale,
-                     "--out", str(tmp_path / "scene")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning too
+            code = main(["gen-data", "--seed", "1", *TINY_SCENE,
+                         "--signature-scale", scale,
+                         "--out", str(tmp_path / "scene")])
         assert code == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == (
-            f"error: signature_scale must be a finite number, got {scale}\n")
+            f"error: signature_scale {message}\n")
         assert not (tmp_path / "scene").exists()
+
+    def test_defaults_are_scene_spec_defaults(self, tmp_path):
+        out = tmp_path / "scene"
+        assert main(["gen-data", "--seed", "2", "--out", str(out)]) == EXIT_OK
+        data, _ = gen_scene(SceneSpec(seed=2))
+        np.testing.assert_array_equal(load_dataset(out).data, data)
 
 
 class TestFlags:
@@ -287,6 +306,80 @@ class TestBadScene:
         assert err.count("\n") == 1
         assert re.search(message, err)
         assert "Traceback" not in err
+
+
+class TestInputsBeforeWork:
+    """Every input and --out are checked before the first iteration."""
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_out_under_a_file_fails_before_training(self, tmp_path, scene_dir,
+                                                    monkeypatch, capsys,
+                                                    command):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"{command} ran")
+
+        monkeypatch.setattr(stepseg.cli, command, no_work)
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "x"
+        args = [command, "--config", str(write_config(tmp_path)),
+                "--data", str(scene_dir), "--out", str(out)]
+        if command == "sweep":
+            args += ["--alphas", "0", "--seeds", "1"]
+        assert main(args) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+
+    @pytest.mark.parametrize("command,empty", [("train", "train"),
+                                               ("sweep", "train"),
+                                               ("sweep", "val")])
+    def test_empty_label_file_is_named(self, tmp_path, monkeypatch, capsys,
+                                       command, empty):
+        def no_training(*args):
+            raise AssertionError("a training iteration ran")
+
+        scene = tmp_path / "scene"
+        counts = {"train": "20", "val": "8", empty: "0"}
+        assert main(["gen-data", "--seed", "3", "--size", "12x12",
+                     "--bands", "3", "--train-labels", counts["train"],
+                     "--val-labels", counts["val"],
+                     "--out", str(scene)]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(stepseg.training, "gradient", no_training)
+        args = [command, "--config", str(write_config(tmp_path)),
+                "--data", str(scene), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            args += ["--alphas", "0", "--seeds", "1"]
+        assert main(args) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {scene / f'{empty}_labels.lbl'}: holds no labels\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_train_runs_without_val_labels(self, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        assert main(["gen-data", "--seed", "3", "--size", "12x12",
+                     "--bands", "3", "--train-labels", "20",
+                     "--val-labels", "0", "--out", str(scene)]) == EXIT_OK
+        assert main(["train", "--config", str(write_config(tmp_path)),
+                     "--data", str(scene),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+
+    @pytest.mark.parametrize("exc,line", [
+        (MemoryError("Unable to allocate 671. GiB for an array"),
+         "error: Unable to allocate 671. GiB for an array\n"),
+        (MemoryError(), "error: MemoryError\n"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_is_one_line(self, tmp_path, scene_dir, monkeypatch,
+                                      capsys, exc, line):
+        # a stub: a real huge allocation can succeed under overcommit
+        def out_of_memory(*args):
+            raise exc
+
+        monkeypatch.setattr(stepseg.cli, "train", out_of_memory)
+        assert main(["train", "--config", str(write_config(tmp_path)),
+                     "--data", str(scene_dir),
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == line
 
 
 class TestEval:

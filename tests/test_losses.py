@@ -112,6 +112,11 @@ class TestClassMap:
         with pytest.raises(ValueError):
             ClassMap(values=np.zeros(4, dtype=np.int64))
 
+    def test_id_below_unlabeled_rejected(self):
+        with pytest.raises(ValueError) as info:
+            ClassMap(values=np.array([[0, -1], [-2, 1]]))
+        assert str(info.value) == "class ids must be >= -1, got -2"
+
 
 class TestIoU:
     def test_two_by_two_fixture(self):

@@ -7,12 +7,10 @@ from stepseg.losses import UNLABELED, ClassMap
 from stepseg.network import SelectionSet, select_matrix
 from stepseg.synth import (
     LabelBudget,
-    SceneSpec,
     apply_transform,
     augment,
     gen_scene,
     make_scene_spec,
-    random_signatures,
     read_class_map,
     read_selection,
     sample_labels,
@@ -30,15 +28,9 @@ def checkerboard_truth(side=8):
 
 class TestSceneSpec:
     def test_duplicate_signatures_rejected(self):
-        sigs = np.ones((2, 3))
+        # a zero scale makes every row zero
         with pytest.raises(ValueError, match="signature"):
-            SceneSpec(seed=0, height=4, width=4, channels=3, num_classes=2,
-                      blob_count=1, noise_sigma=0.0, signatures=sigs)
-
-    def test_signature_shape_checked(self):
-        with pytest.raises(ValueError, match="signatures"):
-            SceneSpec(seed=0, height=4, width=4, channels=3, num_classes=2,
-                      blob_count=1, noise_sigma=0.0, signatures=np.eye(3))
+            make_scene_spec(seed=0, signature_scale=0.0)
 
     def test_noise_sigma_must_be_finite_nonnegative(self):
         for sigma in (-0.5, float("nan"), float("inf")):
@@ -56,9 +48,10 @@ class TestSceneSpec:
         assert str(info.value) == "seed must be an integer >= 0, got -1"
 
     def test_signatures_depend_only_on_seed_and_scale(self):
-        a = random_signatures(2, 16, scale=1.0, seed=7)
-        b = random_signatures(2, 16, scale=2.0, seed=7)
-        np.testing.assert_array_equal(2.0 * a, b)
+        a = make_scene_spec(seed=7, signature_scale=1.0)
+        b = make_scene_spec(seed=7, height=9, blob_count=0, noise_sigma=0.0,
+                            signature_scale=2.0)
+        np.testing.assert_array_equal(2.0 * a.signatures, b.signatures)
 
 
 class TestGenScene:
