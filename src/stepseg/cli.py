@@ -104,9 +104,12 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 
 def _parse_list(text: str, kind: str, flag: str) -> list:
-    """A comma-separated flag value, each item parsed as kind, none twice."""
+    """A comma-separated flag value: at least one item, each parsed as kind,
+    none twice."""
     items = [parse_value(x, kind, f"{flag} item")
              for x in text.split(",") if x.strip()]
+    if not items:
+        raise ValueError(f"{flag} must list at least one item, got {text!r}")
     if len(set(items)) < len(items):
         raise ValueError(f"{flag} items must be distinct, got {text!r}")
     return items

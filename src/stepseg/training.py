@@ -16,9 +16,8 @@ import math
 import multiprocessing
 import os
 import statistics
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -140,14 +139,14 @@ def _infer_num_classes(train_labels: SelectionSet,
     return max(2, max(ids) + 1)
 
 
-def _val_metrics(output: np.ndarray,
-                 val_labels: SelectionSet) -> tuple[float, float]:
-    """Validation loss and mIoU over the labeled pixels of an output field."""
-    logits = select_matrix(output, val_labels)
-    val_loss, _ = softmax_xent_matrix(logits, val_labels.classes)
-    report = iou(np.argmax(logits, axis=0), val_labels.classes,
+def _label_metrics(output: np.ndarray,
+                   labels: SelectionSet) -> tuple[float, float]:
+    """Loss and mIoU over the labeled pixels of an output field."""
+    logits = select_matrix(output, labels)
+    loss, _ = softmax_xent_matrix(logits, labels.classes)
+    report = iou(np.argmax(logits, axis=0), labels.classes,
                  num_classes=output.shape[0])
-    return val_loss, report.miou
+    return loss, report.miou
 
 
 def train(config: TrainConfig, data: np.ndarray, train_labels: SelectionSet,
@@ -182,7 +181,7 @@ def train(config: TrainConfig, data: np.ndarray, train_labels: SelectionSet,
                     raise FloatingPointError("nonfinite objective")
                 last_good, params = params, _sgd_update(params, grads, lr)
                 if is_eval and len(val_labels):
-                    val_loss, val_miou = _val_metrics(
+                    val_loss, val_miou = _label_metrics(
                         forward(params, data).output, val_labels)
         except FloatingPointError:
             status = "diverged"
@@ -197,7 +196,10 @@ def train(config: TrainConfig, data: np.ndarray, train_labels: SelectionSet,
 def evaluate(params: NetworkParams, data: np.ndarray,
              truth: ClassMap) -> tuple[IoUReport, ClassMap]:
     """Dense-truth IoU of the argmax prediction, and the prediction."""
-    pred = predict_classes(forward(params, data).output)
+    # forward checks its states for finiteness, so numpy's overflow
+    # warning would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = predict_classes(forward(params, data).output)
     report = iou(pred, truth.values, num_classes=params.num_classes)
     return report, ClassMap(values=pred)
 
@@ -259,7 +261,6 @@ class SweepRecord:
     train_loss: float
     val_miou: float
     test_miou: float
-    wall_time: float
     status: str
 
 
@@ -298,15 +299,12 @@ class SweepResult:
 def _run_one(config: TrainConfig, dataset: Dataset, alpha: float,
              seed: int) -> SweepRecord:
     run_config = replace(config, seed=seed, alpha=alpha)
-    started = time.perf_counter()
     result = train(run_config, dataset.data, dataset.train, dataset.val)
-    wall = time.perf_counter() - started
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             output = forward(result.params, dataset.data).output
-            train_loss, _ = softmax_xent_matrix(
-                select_matrix(output, dataset.train), dataset.train.classes)
-            _, val_miou = _val_metrics(output, dataset.val)
+            train_loss, _ = _label_metrics(output, dataset.train)
+            _, val_miou = _label_metrics(output, dataset.val)
             test_miou = iou(predict_classes(output), dataset.truth.values,
                             num_classes=result.params.num_classes).miou
     except FloatingPointError:
@@ -314,7 +312,7 @@ def _run_one(config: TrainConfig, dataset: Dataset, alpha: float,
         result = replace(result, status="diverged")
     return SweepRecord(alpha=alpha, seed=seed, train_loss=train_loss,
                        val_miou=val_miou, test_miou=test_miou,
-                       wall_time=wall, status=result.status)
+                       status=result.status)
 
 
 def _median_val_miou(records: tuple[SweepRecord, ...]) -> dict[float, float]:
@@ -327,7 +325,8 @@ def _median_val_miou(records: tuple[SweepRecord, ...]) -> dict[float, float]:
 
 def sweep(config: TrainConfig, alphas: list[float], seeds: list[int],
           dataset: Dataset, jobs: int = 1) -> SweepResult:
-    """Independent training runs over the (alpha, seed) grid.
+    """Independent training runs over the (alpha, seed) grid, recorded in
+    (alpha, seed) order: the grid is built sorted and pool.map keeps it.
 
     At most min(jobs, grid cells, CPU count) worker processes run at once.
     They are spawned, not forked, so that each one loads OpenBLAS afresh
@@ -336,6 +335,9 @@ def sweep(config: TrainConfig, alphas: list[float], seeds: list[int],
     """
     if not alphas or not seeds:
         raise ValueError("need at least one alpha and one seed")
+    if not len(dataset.val):
+        raise ValueError("the sweep needs validation labels: alpha* is "
+                         "chosen by validation mIoU")
     grid = [(alpha, seed) for alpha in sorted(alphas) for seed in sorted(seeds)]
     workers = min(jobs, len(grid), os.cpu_count() or 1)
     if workers > 1:
@@ -355,7 +357,6 @@ def sweep(config: TrainConfig, alphas: list[float], seeds: list[int],
                 del os.environ["OPENBLAS_NUM_THREADS"]
     else:
         records = [_run_one(config, dataset, a, s) for a, s in grid]
-    records.sort(key=lambda r: (r.alpha, r.seed))
     return SweepResult(records=tuple(records))
 
 
@@ -373,8 +374,6 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def sweep_csv(records: tuple[SweepRecord, ...]) -> str:
-    """The sweep table sorted by (alpha, seed); wall_time is left out."""
-    return csv_text(
-        ("alpha", "seed", "train_loss", "val_miou", "test_miou", "status"),
-        [(r.alpha, r.seed, r.train_loss, r.val_miou, r.test_miou, r.status)
-         for r in sorted(records, key=lambda r: (r.alpha, r.seed))])
+    """One row per SweepRecord, its fields as columns, sorted by (alpha, seed)."""
+    rows = sorted(records, key=lambda r: (r.alpha, r.seed))
+    return csv_text([f.name for f in fields(SweepRecord)], map(astuple, rows))

@@ -4,12 +4,14 @@ import gc
 import math
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stepseg.adjoint
 import stepseg.network
 import stepseg.regularizer
 import stepseg.tensor_ops
@@ -30,6 +32,7 @@ from stepseg.network import (
     scatter_into,
     select_matrix,
 )
+from stepseg.synth import LabelBudget, SceneSpec, gen_scene, sample_labels
 from stepseg.tensor_ops import (
     activate,
     activate_deriv,
@@ -37,6 +40,7 @@ from stepseg.tensor_ops import (
     conv2d_adjoint_input,
     conv2d_adjoint_weights,
 )
+from stepseg.training import init_params
 
 from oracles import central_fd, inner
 
@@ -461,6 +465,36 @@ class TestGradcheck:
         monkeypatch.setattr(stepseg.regularizer, "smoother_grad",
                             lambda y: 2.0 * true_grad(y))
         assert gradcheck(params, data, q, alpha=0.5, seed=5) > 1e-2
+
+    @pytest.mark.parametrize("stack", ["lift", "layer", "project"])
+    def test_checks_every_stack_against_its_own_gradient(self, monkeypatch,
+                                                          stack):
+        # a check that skipped a stack, or read another stack's gradient,
+        # would miss the shifted one
+        params, data, q = small_instance(26, width=2, steps=2,
+                                         height=4, width_px=4)
+        true_gradient = stepseg.adjoint.gradient
+
+        def shifted(*args):
+            bundle = true_gradient(*args)
+            if stack == "layer":
+                return replace(bundle, layers=(bundle.layers[0],
+                                               bundle.layers[1] + 1.0))
+            return replace(bundle, **{stack: getattr(bundle, stack) + 1.0})
+
+        monkeypatch.setattr(stepseg.adjoint, "gradient", shifted)
+        assert gradcheck(params, data, q, 0.5, num_coords=None) > 1e-2
+
+    def test_nonfinite_comparison_fails(self):
+        # the CLI's instance: at this alpha J is inf and some gradient
+        # entries are not finite; max() would have dropped their NaN errors
+        spec = SceneSpec(seed=0, height=8, width=8, channels=3, num_classes=2,
+                         blob_count=3, noise_sigma=0.5, signature_scale=1.0)
+        data, truth = gen_scene(spec)
+        q, _ = sample_labels(truth, LabelBudget(n_train=10, n_val=0, seed=0))
+        params = init_params(bands=3, num_classes=2, width=4, steps=2,
+                             activation="tanh", h=1.0, seed=0)
+        assert math.isnan(gradcheck(params, data, q, 1e306))
 
     def test_threshold_separation(self):
         # The criterion threshold sits well above what correct code

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -266,7 +267,7 @@ class TestSweep:
     def test_malformed_alpha_list_is_config_error(self, tmp_path, scene_dir,
                                                   capsys):
         cfg = write_config(tmp_path)
-        # every bad list item, and a repeated one, names its flag
+        # every bad list item, a repeated one and an empty list name their flag
         for alphas, seeds, line in (
                 ("0,banana", "1",
                  "--alphas item must be a finite number >= 0, got 'banana'"),
@@ -278,7 +279,11 @@ class TestSweep:
                  "--alphas item must be a finite number >= 0, got -1.0"),
                 ("0", "1,-1", "--seeds item must be an integer >= 0, got -1"),
                 ("0,0.0", "1", "--alphas items must be distinct, got '0,0.0'"),
-                ("0", "1,01", "--seeds items must be distinct, got '1,01'")):
+                ("0", "1,01", "--seeds items must be distinct, got '1,01'"),
+                ("", "1", "--alphas must list at least one item, got ''"),
+                (" , ", "1", "--alphas must list at least one item, got ' , '"),
+                ("0", "", "--seeds must list at least one item, got ''"),
+                ("0", " , ", "--seeds must list at least one item, got ' , '")):
             code = main(["sweep", "--config", str(cfg), "--alphas", alphas,
                          "--seeds", seeds, "--data", str(scene_dir),
                          "--out", str(tmp_path / "out")])
@@ -487,6 +492,28 @@ class TestEval:
             f"network expects 16\n")
         assert not (tmp_path / "o").exists()
 
+    def test_overflowing_forward_leaks_no_warning(self, tmp_path, capsys):
+        # kernels scaled by 1e200 overflow the lift and layer products to
+        # inf, which tanh saturates, so the scores stay finite
+        scene, run = tmp_path / "scene", tmp_path / "run"
+        assert main(["gen-data", "--seed", "3", *TINY_SCENE, "--size", "16x16",
+                     "--out", str(scene)]) == EXIT_OK
+        assert main(["train", "--config", str(write_config(tmp_path)),
+                     "--data", str(scene), "--out", str(run)]) == EXIT_OK
+        params = load_params(run / "params")
+        save_params(tmp_path / "big", replace(
+            params, lift=1e200 * params.lift,
+            layers=tuple(1e200 * k for k in params.layers)))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["eval", "--params", str(tmp_path / "big"),
+                         "--data", str(scene), "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"mIoU \d\.\d{6}\n", captured.out)
+        assert captured.err == ""
+
     def test_missing_params_dir_is_config_error(self, tmp_path, scene_dir):
         code = main(["eval", "--params", str(tmp_path / "nope"),
                      "--data", str(scene_dir), "--out", str(tmp_path / "o")])
@@ -518,6 +545,15 @@ class TestGradcheck:
         assert capsys.readouterr().err == (
             f"error: --alpha must be a finite number >= 0, "
             f"got {float(alpha)!r}\n")
+
+    def test_nonfinite_check_fails_quietly(self):
+        # at this alpha J overflows, so no comparison is finite; a child
+        # process shows what a numpy warning would print on stderr
+        proc = run_child([sys.executable, "-m", "stepseg", "gradcheck",
+                          "--seed", "0", "--alpha", "1e308"])
+        assert proc.returncode == EXIT_GRADCHECK_FAILED
+        assert proc.stdout == "gradcheck max relative error: nan\n"
+        assert proc.stderr == ""
 
     def test_threshold_failure_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(stepseg.cli, "gradcheck",

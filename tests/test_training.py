@@ -364,7 +364,7 @@ class TestTrain:
         sparse = np.full(output.shape[1:], UNLABELED)
         sparse[val_sel.rows, val_sel.cols] = val_sel.classes
         want = iou(np.argmax(output, axis=0), sparse, num_classes=2).miou
-        assert stepseg.training._val_metrics(output, val_sel)[1] == want
+        assert stepseg.training._label_metrics(output, val_sel)[1] == want
 
     def test_divergence_aborts_with_last_finite_params(self):
         data, _, train_sel, val_sel = tiny_problem()
@@ -476,7 +476,6 @@ class TestSweep:
         assert result.alpha_star == 0.0
         assert len(result.records) == 1
         assert result.records[0].status == "ok"
-        assert result.records[0].wall_time > 0.0
 
     def test_duplicate_alphas_give_identical_rows(self):
         result = sweep(tiny_config(iterations=2), [0.001, 0.001], [2],
@@ -497,6 +496,17 @@ class TestSweep:
         with pytest.raises(ValueError, match="alpha"):
             sweep(tiny_config(), [0.0], [], make_dataset())
 
+    def test_empty_val_rejected_before_any_cell(self, monkeypatch):
+        # alpha* is chosen by validation mIoU, so no cell may run without it
+        def no_cell(*args):
+            raise AssertionError("a sweep cell ran")
+
+        monkeypatch.setattr(stepseg.training, "_run_one", no_cell)
+        dataset = replace(make_dataset(),
+                          val=SelectionSet(rows=[], cols=[], classes=[]))
+        with pytest.raises(ValueError, match="validation labels"):
+            sweep(tiny_config(), [0.0], [1], dataset)
+
     def test_argmax_skips_diverged_and_breaks_ties_low(self, monkeypatch):
         table = {
             (0.05, 1): ("diverged", 0.99), (0.05, 2): ("diverged", 0.99),
@@ -508,11 +518,11 @@ class TestSweep:
         def fake_run(config, dataset, alpha, seed):
             status, val = table[(alpha, seed)]
             return SweepRecord(alpha=alpha, seed=seed, train_loss=0.1,
-                               val_miou=val, test_miou=0.5, wall_time=0.01,
-                               status=status)
+                               val_miou=val, test_miou=0.5, status=status)
 
         monkeypatch.setattr(stepseg.training, "_run_one", fake_run)
-        result = sweep(tiny_config(), [0.05, 0.1, 0.2, 0.3], [1, 2], None)
+        result = sweep(tiny_config(), [0.05, 0.1, 0.2, 0.3], [1, 2],
+                       make_dataset())
         assert result.alpha_star == 0.2
         assert result.summary() == (
             "alpha*=0.2 by median validation mIoU\n"
@@ -527,10 +537,10 @@ class TestSweep:
             test = float("nan") if seed == 1 else 0.25
             return SweepRecord(alpha=alpha, seed=seed, train_loss=float("nan"),
                                val_miou=float("nan"), test_miou=test,
-                               wall_time=0.01, status="diverged")
+                               status="diverged")
 
         monkeypatch.setattr(stepseg.training, "_run_one", fake_run)
-        result = sweep(tiny_config(), [1.0], [1, 2], None)
+        result = sweep(tiny_config(), [1.0], [1, 2], make_dataset())
         assert result.alpha_star is None
         assert result.summary() == (
             "no run finished; alpha* undefined\n"
@@ -559,13 +569,13 @@ class TestSweep:
 
         def fake_run(config, dataset, alpha, seed):
             return SweepRecord(alpha=alpha, seed=seed, train_loss=0.1,
-                               val_miou=0.5, test_miou=0.5, wall_time=0.01,
-                               status="ok")
+                               val_miou=0.5, test_miou=0.5, status="ok")
 
         monkeypatch.setattr(stepseg.training, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(stepseg.training, "_run_one", fake_run)
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         cpus = [4]
+        dataset = make_dataset()
         monkeypatch.setattr(stepseg.training.os, "cpu_count", lambda: cpus[0])
         cases = [  # (jobs, alphas, seeds, cpu count) -> (workers, threads)
             ((1000, [0.0, 0.1, 0.2], [1], 4), (3, "1")),
@@ -579,7 +589,7 @@ class TestSweep:
         for (jobs, alphas, seeds, cpu), want in cases:
             started.clear()
             cpus[0] = cpu
-            result = sweep(tiny_config(), alphas, seeds, None, jobs=jobs)
+            result = sweep(tiny_config(), alphas, seeds, dataset, jobs=jobs)
             assert started == ([] if want is None
                                else [(want[0], "spawn", want[1])])
             assert len(result.records) == len(alphas) * len(seeds)
@@ -587,7 +597,7 @@ class TestSweep:
         # a thread count the caller set is passed on as it is, and kept
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         started.clear()
-        sweep(tiny_config(), [0.0, 0.1], [1], None, jobs=2)
+        sweep(tiny_config(), [0.0, 0.1], [1], dataset, jobs=2)
         assert started == [(2, "spawn", "3")]
         assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
 
@@ -608,9 +618,9 @@ class TestSweepCsv:
     def test_exact_layout(self):
         records = (
             SweepRecord(alpha=0.001, seed=2, train_loss=0.25, val_miou=0.75,
-                        test_miou=0.5, wall_time=9.0, status="ok"),
+                        test_miou=0.5, status="ok"),
             SweepRecord(alpha=0.0, seed=1, train_loss=0.5, val_miou=0.875,
-                        test_miou=0.625, wall_time=3.0, status="ok"),
+                        test_miou=0.625, status="ok"),
         )
         assert sweep_csv(records) == (
             "alpha,seed,train_loss,val_miou,test_miou,status\n"
@@ -620,8 +630,7 @@ class TestSweepCsv:
 
     def test_floats_survive_repr_roundtrip(self):
         records = (SweepRecord(alpha=1e-3, seed=1, train_loss=1 / 3,
-                               val_miou=2 / 3, test_miou=0.1,
-                               wall_time=1.0, status="ok"),)
+                               val_miou=2 / 3, test_miou=0.1, status="ok"),)
         line = sweep_csv(records).splitlines()[1]
         alpha, _, train_loss, val_miou, test_miou, _ = line.split(",")
         assert float(alpha) == 1e-3
@@ -633,11 +642,3 @@ class TestSweepCsv:
         assert csv_text(("a", "b", "c", "d"), [(0.1, None, 3, "ok"),
                                                (1 / 3, 2.0, None, None)]) == (
             "a,b,c,d\n0.1,,3,ok\n0.3333333333333333,2.0,,\n")
-
-    def test_wall_time_not_in_csv(self):
-        # Timing is environment noise; the table must stay bitwise
-        # reproducible across runs.
-        records = (SweepRecord(alpha=0.0, seed=1, train_loss=0.1,
-                               val_miou=0.2, test_miou=0.3,
-                               wall_time=123.456, status="ok"),)
-        assert "123" not in sweep_csv(records)
