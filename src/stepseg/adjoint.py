@@ -10,7 +10,8 @@ The multiplier p_j is dJ/dy_j. It starts from the output cotangent
     g_out = scatter(per-pixel loss gradients) + alpha * grad R(output)
     p_n   = P^T g_out
 
-and runs backward, yielding each kernel gradient on the fly:
+and runs backward; each step's one gather of the weighted cotangent's
+patches yields p_{j-1} and, read at flipped offsets, grad K_j on the fly:
 
     grad K_j = -h * adjoint_weights(f'(K_j y_{j-1}) * p_j, y_{j-1})
     p_{j-1}  = p_j - h * K_j^T (f'(K_j y_{j-1}) * p_j)
@@ -42,7 +43,8 @@ from .network import (
     scatter_into,
     select_matrix,
 )
-from .tensor_ops import activate_deriv, conv2d_adjoint_input, conv2d_adjoint_weights
+from .tensor_ops import (activate_deriv, conv2d_adjoint_input,
+                         conv2d_adjoint_weights, conv2d_adjoints)
 
 
 @dataclass(frozen=True)
@@ -129,12 +131,10 @@ def backward(trace: ForwardTrace, terminal: AdjointState,
         multiplier_hook(n, p)
     layer_grads: list[np.ndarray] = [None] * n  # type: ignore[list-item]
     for j, y_prev, a in trace.reverse_steps():
-        k = params.layers[j - 1]
         weighted = activate_deriv(a, act)
         weighted *= p
-        layer_grads[j - 1] = -h * conv2d_adjoint_weights(
-            weighted, y_prev, k.shape[2], k.shape[3])
-        step = conv2d_adjoint_input(weighted, k)
+        step, grad = conv2d_adjoints(weighted, y_prev, params.layers[j - 1])
+        layer_grads[j - 1] = -h * grad
         del weighted, y_prev
         step *= h
         p = np.subtract(p, step, out=step)

@@ -212,10 +212,14 @@ def main(argv=None) -> int:
     handlers = {"gen-data": _cmd_gen_data, "train": _cmd_train,
                 "sweep": _cmd_sweep, "eval": _cmd_eval,
                 "gradcheck": _cmd_gradcheck}
+    made = None  # an --out this command creates; gone again on exit 2 if empty
     try:
         args = build_parser().parse_args(argv)
+        made = None if Path(getattr(args, "out", ".")).exists() else Path(args.out)
         return handlers[args.command](args)
     except (ValueError, OSError, MemoryError) as exc:
+        if made is not None and made.is_dir() and not any(made.iterdir()):
+            made.rmdir()
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except FloatingPointError as exc:

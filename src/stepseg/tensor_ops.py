@@ -9,13 +9,13 @@ Layout conventions used across the package:
 
 All operations are pure functions of their arguments and bitwise
 deterministic. A convolution gathers its patch matrix in bands of whole
-output rows, at most _BAND_BYTES each, with one BLAS matmul per band. A
-patch matrix that fits one band (64x64 at width 32) gets a single matmul;
-with several bands, results may move in the last bits (BLAS column
-blocking, and the weight gradient's per-band partial sums). Each call
-owns a zero-bordered slab that holds a band's rows of the field plus
-their halo and is copied into the band through a sliding-window view;
-the band buffer is the one the last gather to finish left in _spare.
+output rows, at most _BAND_BYTES each (so a band stays in L2; a 64x64 field
+at width 32 is ten 3x3 bands), with one BLAS matmul per band. Band splits
+leave conv2d's columns as they are, but move the last bits of the weight
+gradient's per-band partial sums. conv2d_adjoints feeds both adjoints from
+one gather of the cotangent. Each call fills a zero-bordered slab with a
+band's rows plus halo, copies it through one sliding-window view into the
+band buffer that the last gather to finish left in _spare.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ def as_kernel_stack(weights) -> np.ndarray:
     return arr
 
 
-# patch-matrix bytes per band, so a band's gather is re-read from cache
-_BAND_BYTES = 10 * 2**20
+# patch-matrix bytes per band, sized so that a band stays in L2 between its
+# gather and the GEMMs that read it
+_BAND_BYTES = 2**20
 # the band of the last gather to finish, for the next to take: bands made
 # and freed per call left heap holes that longer-lived arrays split, so in
 # some runs a later band grew the heap, and peak memory, by its whole size
@@ -76,17 +77,16 @@ def _patch_bands(x: np.ndarray, kh: int, kw: int):
         band = np.empty(size)
     # slab row i holds field row r0 - ph + i; its border columns stay zero
     slab = np.zeros((channels, rows + 2 * ph, width + 2 * pw))
+    windows = sliding_window_view(slab, (kh, kw), axis=(1, 2))
     for r0 in range(0, height, rows):
         r1 = min(r0 + rows, height)
         top, bottom = max(0, ph - r0), min(r1 + ph, height) - r0 + ph
         slab[:, :top] = 0.0
         slab[:, top:bottom, pw:pw + width] = x[:, r0 - ph + top:r0 - ph + bottom]
         slab[:, bottom:] = 0.0
-        windows = sliding_window_view(slab[:, :r1 - r0 + 2 * ph], (kh, kw),
-                                      axis=(1, 2))
         cols = band[:channels * kh * kw * (r1 - r0) * width].reshape(
             channels, kh, kw, r1 - r0, width)
-        np.copyto(cols, windows.transpose(0, 3, 4, 1, 2))
+        np.copyto(cols, windows[:, :r1 - r0].transpose(0, 3, 4, 1, 2))
         yield r0 * width, r1 * width, cols.reshape(channels * kh * kw, -1)
     _spare["band"] = band
 
@@ -112,30 +112,46 @@ def conv2d_adjoint_input(cotangent: np.ndarray, k: np.ndarray) -> np.ndarray:
     exact arithmetic; with zero padding and odd kernels this is convolution
     with the channel-swapped, spatially flipped stack.
     """
-    if cotangent.shape[0] != k.shape[0]:
-        raise ShapeMismatchError(
-            f"adjoint input: cotangent has {cotangent.shape[0]} channels, "
-            f"kernel produces {k.shape[0]}")
-    flipped = np.ascontiguousarray(k[:, :, ::-1, ::-1].swapaxes(0, 1))
-    return conv2d(cotangent, flipped)
+    return conv2d(cotangent, _transposed(cotangent, k))
 
 
 def conv2d_adjoint_weights(cotangent: np.ndarray, x: np.ndarray,
                            kh: int, kw: int) -> np.ndarray:
     """Gradient of <conv2d(x, k), cotangent> with respect to the kernel stack k."""
-    c_out = cotangent.shape[0]
+    # a stack with no input channels leaves conv2d_adjoints' input half empty
+    return conv2d_adjoints(cotangent, x, np.empty((len(cotangent), 0, kh, kw)))[1]
+
+
+def conv2d_adjoints(cotangent: np.ndarray, x: np.ndarray, k: np.ndarray):
+    """conv2d_adjoint_input(cotangent, k) and the gradient in k, from one
+    gather of the cotangent's patches: per band cols, conv2d_adjoint_input's
+    GEMM and cols @ x_band.T, summed into the gradient at flipped offsets."""
+    c_out, c_k, kh, kw = k.shape
     c_in, height, width = x.shape
     if cotangent.shape[1:] != (height, width):
         raise ShapeMismatchError(
             f"adjoint weights: cotangent spatial {cotangent.shape[1:]} "
             f"!= input spatial {(height, width)}")
-    flat = cotangent.reshape(c_out, height * width)
+    weights = _transposed(cotangent, k).reshape(c_k, c_out * kh * kw)
+    flat = x.reshape(c_in, height * width)
+    adjoint = np.empty((c_k, height * width))
     grad = None
-    for start, stop, cols in _patch_bands(x, kh, kw):
-        part = flat[:, start:stop] @ cols.T
+    for start, stop, cols in _patch_bands(cotangent, kh, kw):
+        np.matmul(weights, cols, out=adjoint[:, start:stop])
+        part = cols @ flat[:, start:stop].T
         # the first band is assigned, not added to zeros, so one band keeps its bits
         grad = part if grad is None else grad + part
-    return grad.reshape(c_out, c_in, kh, kw)
+    # row (o, a', b') pairs x with the cotangent's offset (kh-1-a', kw-1-b')
+    grad = grad.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1]
+    return adjoint.reshape(c_k, height, width), grad.transpose(0, 3, 1, 2)
+
+
+def _transposed(cotangent: np.ndarray, k: np.ndarray) -> np.ndarray:
+    if cotangent.shape[0] != k.shape[0]:
+        raise ShapeMismatchError(
+            f"adjoint input: cotangent has {cotangent.shape[0]} channels, "
+            f"kernel produces {k.shape[0]}")
+    return np.ascontiguousarray(k[:, :, ::-1, ::-1].swapaxes(0, 1))
 
 
 # Activation registry: kind -> (f(z), f'(z) from a = f(z)); relu'(0) is 0.

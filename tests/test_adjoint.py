@@ -275,6 +275,28 @@ class TestCheckpointReplay:
         for (_, got), (_, want) in zip(seen, hooked):
             np.testing.assert_array_equal(got, want)
 
+    def test_multi_band_backward_keeps_multiplier_bits(self, monkeypatch):
+        # each step gathers the weighted cotangent once for both adjoints;
+        # its input half is conv2d_adjoint_input's GEMM on the same bands,
+        # so p_n ... p_0 are bitwise the two-call recursion's
+        monkeypatch.setattr(stepseg.tensor_ops, "_BAND_BYTES", 4000)
+        params, data, q = small_instance(60, steps=5, height=12, width_px=7,
+                                         h=0.4)
+        trace = forward(params, data)
+        assert len(list(stepseg.tensor_ops._patch_bands(
+            trace.states[0], 3, 3))) == 6
+        terminal = terminal_multiplier(trace, q, alpha=0.3)
+        _, grads, hooked = full_trace_gradient(params, data, terminal)
+        seen = []
+        bundle = backward(trace, terminal,
+                          multiplier_hook=lambda j, p: seen.append(
+                              (j, p.copy())))
+        assert [j for j, _ in seen] == [j for j, _ in hooked]
+        for (_, got), (_, want) in zip(seen, hooked):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(bundle_stacks(bundle), grads, strict=True):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("activation", ["tanh", "relu"])
     def test_activate_runs_only_in_forward(self, monkeypatch, activation):
         # forward evaluates f once per step; the replay reads y_j from a_j

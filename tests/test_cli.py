@@ -386,6 +386,30 @@ class TestInputsBeforeWork:
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == line
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("existed", [False, True],
+                             ids=["made", "existed"])
+    def test_failed_run_removes_only_the_out_it_made(
+            self, tmp_path, scene_dir, monkeypatch, capsys, command,
+            existed):
+        # --out is created before the work; a run that then fails with
+        # exit 2 removes it if this run made it and it is still empty
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 671. GiB for an array")
+
+        monkeypatch.setattr(stepseg.cli, command, out_of_memory)
+        out = tmp_path / "out"
+        if existed:
+            out.mkdir()
+        args = [command, "--config", str(write_config(tmp_path)),
+                "--data", str(scene_dir), "--out", str(out)]
+        if command == "sweep":
+            args += ["--alphas", "0", "--seeds", "1"]
+        assert main(args) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "error: Unable to allocate 671. GiB for an array\n")
+        assert out.is_dir() == existed
+
 
 class TestEval:
     def test_files_match_evaluate(self, tmp_path, scene_dir):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from stepseg.tensor_ops import (
     conv2d,
     conv2d_adjoint_input,
     conv2d_adjoint_weights,
+    conv2d_adjoints,
     read_ftf,
     write_ftf,
 )
@@ -148,6 +150,16 @@ class TestAdjoints:
         got = conv2d_adjoint_weights(u, x, 3, 3)
         np.testing.assert_allclose(got, fd, rtol=1e-7, atol=1e-7)
 
+    @pytest.mark.parametrize("cotangent_shape,match", [
+        ((3, 5, 5), "cotangent has 3 channels, kernel produces 2"),
+        ((2, 5, 4), r"cotangent spatial \(5, 4\) != input spatial \(5, 5\)"),
+    ], ids=["channels", "spatial"])
+    def test_fused_adjoints_reject_mismatches(self, cotangent_shape, match):
+        x = np.zeros((4, 5, 5))
+        k = np.zeros((2, 4, 3, 3))
+        with pytest.raises(ShapeMismatchError, match=match):
+            conv2d_adjoints(np.zeros(cotangent_shape), x, k)
+
     def test_adjoint_input_flips_kernel(self):
         # single channel: adjoint of correlation is correlation with the
         # spatially flipped kernel
@@ -161,7 +173,8 @@ class TestAdjoints:
 
 # _BAND_BYTES values: one output row per band; 2500 bytes, which on a 7x5
 # field with 3 channels leaves a short last band (3x3: rows 2, 2, 2, 1;
-# 3x1: 6, 1); and the default, one band for these fields.
+# 3x1: 6, 1); and the default, one band for these fields. The adjoints
+# gather the 2-channel cotangent, in rows 3, 3, 1 (3x3) at 2500 bytes.
 BAND_BYTES = {"one_row": 1, "short_last": 2500,
               "default": tensor_ops._BAND_BYTES}
 BAND_KERNELS = [(3, 3), (5, 5), (3, 1)]
@@ -182,8 +195,10 @@ def band_operands(kh, kw, seed=0):
 
 
 def conv_results(x, u, k):
+    """conv2d, both adjoints, and both again from the fused adjoints."""
     return (conv2d(x, k), conv2d_adjoint_input(u, k),
-            conv2d_adjoint_weights(u, x, k.shape[2], k.shape[3]))
+            conv2d_adjoint_weights(u, x, k.shape[2], k.shape[3]),
+            *conv2d_adjoints(u, x, k))
 
 
 @pytest.mark.parametrize("kh,kw", BAND_KERNELS)
@@ -211,19 +226,28 @@ class TestPatchBands:
 
     def test_match_direct_convolution(self, band_bytes, kh, kw):
         x, u, k = band_operands(kh, kw)
-        out, adj_in, adj_w = conv_results(x, u, k)
+        out, adj_in, adj_w, fused_in, fused_w = conv_results(x, u, k)
         flipped = k[:, :, ::-1, ::-1].swapaxes(0, 1)
         np.testing.assert_allclose(out, conv2d_direct(x, k),
                                    rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(adj_in, conv2d_direct(u, flipped),
-                                   rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(
-            adj_w, conv2d_adjoint_weights_direct(u, x, kh, kw),
-            rtol=1e-12, atol=1e-12)
+        for got in (adj_in, fused_in):
+            np.testing.assert_allclose(got, conv2d_direct(u, flipped),
+                                       rtol=1e-12, atol=1e-12)
+        for got in (adj_w, fused_w):
+            np.testing.assert_allclose(
+                got, conv2d_adjoint_weights_direct(u, x, kh, kw),
+                rtol=1e-12, atol=1e-12)
+
+    def test_fused_input_adjoint_is_bitwise(self, band_bytes, kh, kw):
+        # the fused input half runs conv2d_adjoint_input's GEMM on the same
+        # operands, band for band
+        x, u, k = band_operands(kh, kw, seed=5)
+        np.testing.assert_array_equal(conv2d_adjoints(u, x, k)[0],
+                                      conv2d_adjoint_input(u, k))
 
     def test_adjoint_identities(self, band_bytes, kh, kw):
         x, u, k = band_operands(kh, kw, seed=1)
-        _, adj_in, adj_w = conv_results(x, u, k)
+        _, adj_in, adj_w, _, _ = conv_results(x, u, k)
         assert inner(conv2d(x, k), u) == pytest.approx(
             inner(x, adj_in), rel=1e-12, abs=1e-12)
         assert inner(conv2d(x, k), u) == pytest.approx(
@@ -308,14 +332,32 @@ def test_repeated_convolution_allocates_no_band(monkeypatch):
     np.testing.assert_array_equal(again, first)
 
 
-def test_acceptance_field_is_one_band():
-    # a 64x64 field at width 32 keeps a single GEMM per 3x3 call, and a 1x1
-    # kernel contracts the field itself
-    x = np.zeros((32, 64, 64))
-    bands = list(tensor_ops._patch_bands(x, 3, 3))
-    assert [(start, stop) for start, stop, _ in bands] == [(0, 64 * 64)]
-    [(_, _, cols)] = tensor_ops._patch_bands(x, 1, 1)
-    assert np.shares_memory(cols, x)
+def test_bands_stay_in_l2_from_one_window_view(monkeypatch, band_bytes):
+    # a band's patch matrix is at most _BAND_BYTES unless one output row
+    # exceeds it (then a band is one row), however many bands a field needs
+    # (a 64x64 field at width 32 is ten bands at the default); each call
+    # builds one window view, and a 1x1 kernel contracts the field itself
+    views = []
+
+    def counted(*args, **kwargs):
+        views.append(args[1])
+        return sliding_window_view(*args, **kwargs)
+
+    monkeypatch.setattr(tensor_ops, "sliding_window_view", counted)
+    limit = tensor_ops._BAND_BYTES
+    for x, (kh, kw) in [(np.zeros((32, 64, 64)), (3, 3)),
+                        *((band_operands(*ks)[0], ks) for ks in BAND_KERNELS)]:
+        views.clear()
+        sizes = [cols.nbytes for _, _, cols in tensor_ops._patch_bands(x, kh, kw)]
+        row = x.shape[0] * kh * kw * x.shape[2] * 8
+        assert views == [(kh, kw)]
+        assert all(size <= max(limit, row) for size in sizes)
+        if row > limit:
+            assert sizes == [row] * x.shape[1]
+        if x.shape[1] == 64 and band_bytes == "default":
+            assert len(sizes) == 10
+        [(_, _, cols)] = tensor_ops._patch_bands(x, 1, 1)
+        assert np.shares_memory(cols, x)
 
 
 class TestActivations:
