@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import astuple, fields
+from itertools import takewhile
 from pathlib import Path
 
 from .adjoint import gradcheck
@@ -115,12 +117,21 @@ def _parse_list(text: str, kind: str, flag: str) -> list:
     return items
 
 
-def _out_dir(text: str) -> Path:
-    """--out, created once the inputs are read and before the long work,
-    so that a bad path fails fast."""
+@contextmanager
+def _out_dir(text: str):
+    """Create --out and its missing parents once the inputs are read, so a
+    bad path fails before the long work. If the block fails, remove those
+    still empty, deepest first; no directory that existed is touched."""
     out = Path(text)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    made = list(takewhile(lambda path: not path.exists(), (out, *out.parents)))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield out
+    except BaseException:
+        for path in made:
+            with suppress(OSError):  # rmdir leaves a non-empty directory
+                path.rmdir()
+        raise
 
 
 def _cmd_gen_data(args) -> int:
@@ -133,8 +144,8 @@ def _cmd_gen_data(args) -> int:
     budget = LabelBudget(n_train=args.train_labels, n_val=args.val_labels,
                          seed=args.seed)
     train_sel, val_sel = sample_labels(truth, budget)
-    save_dataset(args.out, Dataset(data=data, truth=truth,
-                                   train=train_sel, val=val_sel))
+    with _out_dir(args.out) as out:
+        save_dataset(out, Dataset(data, truth, train_sel, val_sel))
     print(f"wrote scene {height}x{width} with {len(train_sel)} train / "
           f"{len(val_sel)} val labels to {args.out}")
     return EXIT_OK
@@ -144,16 +155,16 @@ def _cmd_train(args) -> int:
     with in_file(args.config):
         config = parse_config(Path(args.config).read_text())
     dataset = load_dataset(args.data)
-    out = _out_dir(args.out)
-    result = train(config, dataset.data, dataset.train, dataset.val)
-    save_params(out / "params", result.params)
-    (out / "history.csv").write_text(csv_text(
-        [f.name for f in fields(IterationLog)], map(astuple, result.history)))
-    (out / "status.txt").write_text(result.status + "\n")
-    final = result.history[-1] if result.history else None
-    if final is not None:
+    with _out_dir(args.out) as out:
+        result = train(config, dataset.data, dataset.train, dataset.val)
+        save_params(out / "params", result.params)
+        (out / "history.csv").write_text(csv_text(
+            [f.name for f in fields(IterationLog)],
+            map(astuple, result.history)))
+        (out / "status.txt").write_text(result.status + "\n")
+    if result.history:
         print(f"finished {len(result.history)} iterations, status "
-              f"{result.status}, final loss {final.loss:.6f}")
+              f"{result.status}, final loss {result.history[-1].loss:.6f}")
     else:
         print(f"status {result.status}")
     return EXIT_OK if result.status == "ok" else EXIT_DIVERGED
@@ -167,10 +178,10 @@ def _cmd_sweep(args) -> int:
     check_value(args.jobs, "int>=1", "--jobs")
     # alpha* is chosen by validation mIoU
     dataset = load_dataset(args.data, need_val=True)
-    out = _out_dir(args.out)
-    result = sweep(config, alphas, seeds, dataset, jobs=args.jobs)
-    (out / "sweep.csv").write_text(sweep_csv(result.records))
-    (out / "summary.txt").write_text(result.summary())
+    with _out_dir(args.out) as out:
+        result = sweep(config, alphas, seeds, dataset, jobs=args.jobs)
+        (out / "sweep.csv").write_text(sweep_csv(result.records))
+        (out / "summary.txt").write_text(result.summary())
     print(result.summary(), end="")
     return EXIT_OK if result.alpha_star is not None else EXIT_DIVERGED
 
@@ -178,16 +189,16 @@ def _cmd_sweep(args) -> int:
 def _cmd_eval(args) -> int:
     params = load_params(args.params)
     data, truth = load_scene(args.data)
-    # a band count that differs from the params' is data.ftf's fault
-    with in_file(Path(args.data) / "data.ftf"):
-        report, pred = evaluate(params, data, truth)
-    out = _out_dir(args.out)
-    write_class_map(out / "prediction.lbl", pred)
-    # one row per class with a defined IoU; alpha is empty for a single run
-    (out / "iou.csv").write_text(csv_text(
-        ("alpha", "class_id", "iou", "miou"),
-        [(None, c.class_id, c.iou, report.miou)
-         for c in report.per_class if c.iou is not None]))
+    with _out_dir(args.out) as out:
+        # a band count that differs from the params' is data.ftf's fault
+        with in_file(Path(args.data) / "data.ftf"):
+            report, pred = evaluate(params, data, truth)
+        write_class_map(out / "prediction.lbl", pred)
+        # one row per class with a defined IoU; alpha is empty for a single run
+        (out / "iou.csv").write_text(csv_text(
+            ("alpha", "class_id", "iou", "miou"),
+            [(None, c.class_id, c.iou, report.miou)
+             for c in report.per_class if c.iou is not None]))
     print(f"mIoU {report.miou:.6f}")
     return EXIT_OK
 
@@ -212,14 +223,10 @@ def main(argv=None) -> int:
     handlers = {"gen-data": _cmd_gen_data, "train": _cmd_train,
                 "sweep": _cmd_sweep, "eval": _cmd_eval,
                 "gradcheck": _cmd_gradcheck}
-    made = None  # an --out this command creates; gone again on exit 2 if empty
     try:
         args = build_parser().parse_args(argv)
-        made = None if Path(getattr(args, "out", ".")).exists() else Path(args.out)
         return handlers[args.command](args)
     except (ValueError, OSError, MemoryError) as exc:
-        if made is not None and made.is_dir() and not any(made.iterdir()):
-            made.rmdir()
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except FloatingPointError as exc:

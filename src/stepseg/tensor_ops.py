@@ -13,9 +13,9 @@ output rows, at most _BAND_BYTES each (so a band stays in L2; a 64x64 field
 at width 32 is ten 3x3 bands), with one BLAS matmul per band. Band splits
 leave conv2d's columns as they are, but move the last bits of the weight
 gradient's per-band partial sums. conv2d_adjoints feeds both adjoints from
-one gather of the cotangent. Each call fills a zero-bordered slab with a
-band's rows plus halo, copies it through one sliding-window view into the
-band buffer that the last gather to finish left in _spare.
+one gather of the cotangent. Each gather fills a zero-bordered slab with a
+band's rows plus halo and copies it through one sliding-window view into a
+band buffer of its own, freed when the gather ends.
 """
 
 from __future__ import annotations
@@ -55,26 +55,20 @@ def as_kernel_stack(weights) -> np.ndarray:
 # patch-matrix bytes per band, sized so that a band stays in L2 between its
 # gather and the GEMMs that read it
 _BAND_BYTES = 2**20
-# the band of the last gather to finish, for the next to take: bands made
-# and freed per call left heap holes that longer-lived arrays split, so in
-# some runs a later band grew the heap, and peak memory, by its whole size
-_spare = {}
 
 
 def _patch_bands(x: np.ndarray, kh: int, kw: int):
     """Yield (start, stop, cols) per band of whole output rows: pixels start:stop
     and their zero-padded (C*kh*kw, stop - start) patch matrix, rows ordered
     (c, a, b). Every band is gathered into one buffer that this gather
-    holds until it ends, so cols is valid only until its next band."""
+    makes and frees, so cols is valid only until its next band."""
     channels, height, width = x.shape
     if kh == 1 and kw == 1:
         yield 0, height * width, x.reshape(channels, height * width)
         return
     ph, pw = kh // 2, kw // 2
     rows = max(1, min(height, _BAND_BYTES // (channels * kh * kw * width * 8)))
-    band = _spare.pop("band", np.empty(0))  # taken, so no two gathers share it
-    if band.size < (size := channels * kh * kw * rows * width):
-        band = np.empty(size)
+    band = np.empty(channels * kh * kw * rows * width)
     # slab row i holds field row r0 - ph + i; its border columns stay zero
     slab = np.zeros((channels, rows + 2 * ph, width + 2 * pw))
     windows = sliding_window_view(slab, (kh, kw), axis=(1, 2))
@@ -88,7 +82,6 @@ def _patch_bands(x: np.ndarray, kh: int, kw: int):
             channels, kh, kw, r1 - r0, width)
         np.copyto(cols, windows[:, :r1 - r0].transpose(0, 3, 4, 1, 2))
         yield r0 * width, r1 * width, cols.reshape(channels * kh * kw, -1)
-    _spare["band"] = band
 
 
 def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:

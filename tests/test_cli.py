@@ -53,6 +53,27 @@ def write_config(tmp_path, text=TINY_CONFIG):
     return path
 
 
+# the function in stepseg.cli that does each command's long work
+WORK = {"train": "train", "sweep": "sweep", "eval": "evaluate"}
+
+
+def command_args(tmp_path, scene, command, out):
+    """Arguments for train, sweep or eval on a scene directory that write
+    to out; eval scores freshly initialised 3-band params."""
+    if command == "eval":
+        params = tmp_path / "params"
+        save_params(params, init_params(bands=3, num_classes=2, width=4,
+                                        steps=2, activation="tanh", h=1.0,
+                                        seed=1))
+        return ["eval", "--params", str(params), "--data", str(scene),
+                "--out", str(out)]
+    args = [command, "--config", str(write_config(tmp_path)),
+            "--data", str(scene), "--out", str(out)]
+    if command == "sweep":
+        args += ["--alphas", "0", "--seeds", "1"]
+    return args
+
+
 class TestGenData:
     def test_writes_a_complete_scene(self, tmp_path, capsys):
         out = tmp_path / "scene"
@@ -301,11 +322,8 @@ class TestBadScene:
 
         monkeypatch.setattr(stepseg.training, "gradient", no_training)
         scene, message = bad_scene
-        args = [command, "--config", str(write_config(tmp_path)),
-                "--data", str(scene), "--out", str(tmp_path / "out")]
-        if command == "sweep":
-            args += ["--alphas", "0", "--seeds", "1"]
-        assert main(args) == EXIT_CONFIG_ERROR
+        assert main(command_args(tmp_path, scene, command,
+                                 tmp_path / "out")) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert err.startswith(f"error: {scene}{os.sep}")
         assert err.count("\n") == 1
@@ -316,21 +334,18 @@ class TestBadScene:
 class TestInputsBeforeWork:
     """Every input and --out are checked before the first iteration."""
 
-    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("command", ["train", "sweep", "eval"])
     def test_out_under_a_file_fails_before_training(self, tmp_path, scene_dir,
                                                     monkeypatch, capsys,
                                                     command):
         def no_work(*args, **kwargs):
             raise AssertionError(f"{command} ran")
 
-        monkeypatch.setattr(stepseg.cli, command, no_work)
+        monkeypatch.setattr(stepseg.cli, WORK[command], no_work)
         (tmp_path / "afile").write_text("")
         out = tmp_path / "afile" / "x"
-        args = [command, "--config", str(write_config(tmp_path)),
-                "--data", str(scene_dir), "--out", str(out)]
-        if command == "sweep":
-            args += ["--alphas", "0", "--seeds", "1"]
-        assert main(args) == EXIT_CONFIG_ERROR
+        assert main(command_args(tmp_path, scene_dir, command,
+                                 out)) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(out) in err
@@ -351,11 +366,8 @@ class TestInputsBeforeWork:
                      "--out", str(scene)]) == EXIT_OK
         capsys.readouterr()
         monkeypatch.setattr(stepseg.training, "gradient", no_training)
-        args = [command, "--config", str(write_config(tmp_path)),
-                "--data", str(scene), "--out", str(tmp_path / "out")]
-        if command == "sweep":
-            args += ["--alphas", "0", "--seeds", "1"]
-        assert main(args) == EXIT_CONFIG_ERROR
+        assert main(command_args(tmp_path, scene, command,
+                                 tmp_path / "out")) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == (
             f"error: {scene / f'{empty}_labels.lbl'}: holds no labels\n")
         assert not (tmp_path / "out").exists()
@@ -386,29 +398,30 @@ class TestInputsBeforeWork:
                      "--out", str(tmp_path / "out")]) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == line
 
-    @pytest.mark.parametrize("command", ["train", "sweep"])
-    @pytest.mark.parametrize("existed", [False, True],
-                             ids=["made", "existed"])
+    @pytest.mark.parametrize("command", ["train", "sweep", "eval"])
+    @pytest.mark.parametrize("out,existing", [
+        ("out", []), ("out", ["out/"]),
+        ("a/b/c", []), ("a/b/c", ["a/", "a/keep"])],
+        ids=["made", "existed", "nested-made", "nested-under-kept"])
     def test_failed_run_removes_only_the_out_it_made(
-            self, tmp_path, scene_dir, monkeypatch, capsys, command,
-            existed):
-        # --out is created before the work; a run that then fails with
-        # exit 2 removes it if this run made it and it is still empty
+            self, tmp_path, scene_dir, monkeypatch, capsys, command, out,
+            existing):
+        # --out and its missing parents are created before the work; a run
+        # that then fails with exit 2 removes each of them that is still
+        # empty, and no directory that existed before, empty or not
         def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 671. GiB for an array")
 
-        monkeypatch.setattr(stepseg.cli, command, out_of_memory)
-        out = tmp_path / "out"
-        if existed:
-            out.mkdir()
-        args = [command, "--config", str(write_config(tmp_path)),
-                "--data", str(scene_dir), "--out", str(out)]
-        if command == "sweep":
-            args += ["--alphas", "0", "--seeds", "1"]
+        monkeypatch.setattr(stepseg.cli, WORK[command], out_of_memory)
+        for name in existing:
+            path = tmp_path / name
+            path.mkdir() if name.endswith("/") else path.write_text("")
+        args = command_args(tmp_path, scene_dir, command, tmp_path / out)
+        before = sorted(tmp_path.rglob("*"))
         assert main(args) == EXIT_CONFIG_ERROR
         assert capsys.readouterr().err == (
             "error: Unable to allocate 671. GiB for an array\n")
-        assert out.is_dir() == existed
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestEval:

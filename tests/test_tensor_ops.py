@@ -294,42 +294,24 @@ def test_convolution_allocates_only_its_output(monkeypatch):
     # beyond its output, a 3x3 conv2d over ten bands allocates at most one
     # band, one slab of a band's rows plus halo, and small objects (about
     # 6 KiB of views measured); a padded copy of the field or the whole
-    # patch matrix is more than the slab plus that slack
+    # patch matrix is more than the slab plus that slack. Once a gather or
+    # a convolution returns, only the output is left: no band is kept
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 40, 40))
     k = rng.standard_normal((4, 4, 3, 3))
     band, slab, slack = 4 * 9 * 4 * 40 * 8, 4 * 6 * 42 * 8, 16 * 2**10
-    assert 4 * 42 * 42 * 8 > slab + slack
+    assert 4 * 42 * 42 * 8 > slab + slack and band > slack
     monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band)
-    assert len(list(tensor_ops._patch_bands(x, 3, 3))) == 10
     tracemalloc.start()
     try:
+        assert len(list(tensor_ops._patch_bands(x, 3, 3))) == 10
+        tracemalloc.reset_peak()
         out = conv2d(x, k)
-        _, peak = tracemalloc.get_traced_memory()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < out.nbytes + band + slab + slack
-
-
-def test_repeated_convolution_allocates_no_band(monkeypatch):
-    # a finished gather leaves its band for the next one: a band made and
-    # freed per call left a heap hole that longer-lived arrays split, and
-    # the next band then grew the heap by its whole size
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((4, 40, 40))
-    k = rng.standard_normal((4, 4, 3, 3))
-    band, slab, slack = 4 * 9 * 4 * 40 * 8, 4 * 6 * 42 * 8, 16 * 2**10
-    assert band > slack
-    monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band)
-    first = conv2d(x, k)
-    tracemalloc.start()
-    try:
-        again = conv2d(x, k)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < again.nbytes + slab + slack
-    np.testing.assert_array_equal(again, first)
+    assert kept <= out.nbytes + slack
 
 
 def test_bands_stay_in_l2_from_one_window_view(monkeypatch, band_bytes):
