@@ -164,7 +164,7 @@ def _cmd_train(args) -> int:
         (out / "status.txt").write_text(result.status + "\n")
     if result.history:
         print(f"finished {len(result.history)} iterations, status "
-              f"{result.status}, final loss {result.history[-1].loss:.6f}")
+              f"{result.status}, final loss {result.history[-1].loss:.6g}")
     else:
         print(f"status {result.status}")
     return EXIT_OK if result.status == "ok" else EXIT_DIVERGED
@@ -189,6 +189,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_eval(args) -> int:
     params = load_params(args.params)
     data, truth = load_scene(args.data)
+    if (top := int(truth.values.max(initial=-1))) >= params.num_classes:
+        raise ValueError(f"{Path(args.data) / 'truth.lbl'}: holds class {top}, "
+                         f"but the params predict only classes 0-"
+                         f"{params.num_classes - 1}")
     with _out_dir(args.out) as out:
         # a band count that differs from the params' is data.ftf's fault
         with in_file(Path(args.data) / "data.ftf"):
@@ -203,18 +207,23 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_gradcheck(args) -> int:
-    check_value(args.alpha, "finite>=0", "--alpha")
-    spec = SceneSpec(seed=args.seed, height=8, width=8, channels=3,
-                     num_classes=2, blob_count=3, noise_sigma=0.5,
-                     signature_scale=1.0)
+def gradcheck_instance(seed: int):
+    """gradcheck's fixed instance: params, an 8x8 scene's data and its
+    training labels, all drawn from seed."""
+    spec = SceneSpec(seed=seed, height=8, width=8, channels=3, num_classes=2,
+                     blob_count=3, noise_sigma=0.5, signature_scale=1.0)
     data, truth = gen_scene(spec)
     labels, _ = sample_labels(truth, LabelBudget(n_train=10, n_val=0,
-                                                 seed=args.seed))
+                                                 seed=seed))
     params = init_params(bands=3, num_classes=2, width=4, steps=2,
-                         activation="tanh", h=1.0, seed=args.seed)
-    err = gradcheck(params, data, labels, alpha=args.alpha, num_coords=60,
-                    seed=args.seed)
+                         activation="tanh", h=1.0, seed=seed)
+    return params, data, labels
+
+
+def _cmd_gradcheck(args) -> int:
+    check_value(args.alpha, "finite>=0", "--alpha")
+    err = gradcheck(*gradcheck_instance(args.seed), alpha=args.alpha,
+                    num_coords=60, seed=args.seed)
     print(f"gradcheck max relative error: {err:.6e}")
     return EXIT_OK if err < GRADCHECK_THRESHOLD else EXIT_GRADCHECK_FAILED
 

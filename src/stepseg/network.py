@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -37,20 +37,36 @@ from .tensor_ops import (
 )
 
 
+def of_kind(kind: str, default=MISSING):
+    """A dataclass field that check_fields tests against kind."""
+    return field(default=default, metadata={"kind": kind})
+
+
+def field_kinds(cls) -> dict[str, str]:
+    """Each of_kind field of a dataclass -> its kind, in declaration order."""
+    return {f.name: f.metadata["kind"] for f in fields(cls)
+            if "kind" in f.metadata}
+
+
+def check_fields(obj):
+    """check_value on each of_kind field of obj, in declaration order."""
+    for name, kind in field_kinds(type(obj)).items():
+        check_value(getattr(obj, name), kind, name)
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """All trainable kernels plus the step size and activation kind.
 
     lift: (width, bands, 1, 1), layers: n stacks (width, width, kh, kw),
-    project: (num_classes, width, 1, 1). h and activation are checked where
-    they are read: TrainConfig and the manifest.
+    project: (num_classes, width, 1, 1).
     """
 
     lift: np.ndarray
     layers: tuple[np.ndarray, ...]
     project: np.ndarray
-    h: float = 1.0
-    activation: str = "tanh"
+    h: float = of_kind("finite", 1.0)
+    activation: str = of_kind("activation", "tanh")
 
     def __post_init__(self):
         lift = kernel_stack("lift", self.lift, (None, None, 1, 1))
@@ -61,6 +77,7 @@ class NetworkParams:
             for j, k in enumerate(self.layers)))
         object.__setattr__(self, "project", kernel_stack(
             "project", self.project, (None, width, 1, 1)))
+        check_fields(self)
         check_value(self.num_classes, "int>=2", "num_classes")
 
     @property
@@ -242,12 +259,6 @@ def check_value(value, kind: str, name: str):
     return value
 
 
-def check_values(values, kinds: dict[str, str]):
-    """check_value on values[key] for each key of kinds, in kinds' order."""
-    for key, kind in kinds.items():
-        check_value(values[key], kind, key)
-
-
 def parse_value(text: str, kind: str, name: str):
     """check_value of text parsed as kind, or of text that does not parse."""
     try:
@@ -275,8 +286,8 @@ def parse_key_values(text: str, kinds: dict[str, str], what: str) -> dict:
             for key, value in pairs.items()}
 
 
-MANIFEST_KINDS = {"width": "int>=1", "num_classes": "int>=2", "h": "finite",
-                  "activation": "activation", "n": "int>=0", "bands": "int>=1"}
+MANIFEST_KINDS = {"width": "int>=1", "num_classes": "int>=2",
+                  **field_kinds(NetworkParams), "n": "int>=0", "bands": "int>=1"}
 
 
 def kernel_stack(name: str, weights, shape: tuple) -> np.ndarray:

@@ -16,23 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from .losses import ClassMap
-from .network import SelectionSet, check_values, parse_value
+from .network import SelectionSet, check_fields, of_kind, parse_value
 from .tensor_ops import in_file
 
 LBL_MAGIC = "LBL1"
 
-# Independent substreams per purpose, so e.g. changing blob geometry
-# never shifts the noise draw.
-_STREAM_BLOBS = 1
-_STREAM_NOISE = 2
-_STREAM_SIGNATURES = 3
-_STREAM_LABELS = 4
-
-# SceneSpec's init fields -> their VALUE_KINDS
-_SCENE_KINDS = dict(seed="int>=0", height="int>=1", width="int>=1",
-                    channels="int>=1", num_classes="int>=1",
-                    blob_count="int>=0", noise_sigma="finite>=0",
-                    signature_scale="finite")
+# Independent RNG substreams per purpose, each drawn as [seed, id], so e.g.
+# changing blob geometry never shifts the noise draw; no two ids may agree.
+# training's kernel init draws from "init".
+RNG_STREAMS = {"blobs": 1, "noise": 2, "signatures": 3, "labels": 4,
+               "init": 5}
 
 
 @dataclass(frozen=True)
@@ -45,19 +38,19 @@ class SceneSpec:
     smoothing of the prediction has headroom to help.
     """
 
-    seed: int
-    height: int = 64
-    width: int = 64
-    channels: int = 16
-    num_classes: int = 2
-    blob_count: int = 6
-    noise_sigma: float = 1.2
-    signature_scale: float = 0.17
+    seed: int = of_kind("int>=0")
+    height: int = of_kind("int>=1", 64)
+    width: int = of_kind("int>=1", 64)
+    channels: int = of_kind("int>=1", 16)
+    num_classes: int = of_kind("int>=1", 2)
+    blob_count: int = of_kind("int>=0", 6)
+    noise_sigma: float = of_kind("finite>=0", 1.2)
+    signature_scale: float = of_kind("finite", 0.17)
     signatures: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_values(vars(self), _SCENE_KINDS)
-        rng = np.random.default_rng([self.seed, _STREAM_SIGNATURES])
+        check_fields(self)
+        rng = np.random.default_rng([self.seed, RNG_STREAMS["signatures"]])
         with np.errstate(over="ignore"):  # an overflow is rejected below
             sigs = self.signature_scale * rng.standard_normal(
                 (self.num_classes, self.channels))
@@ -74,7 +67,7 @@ make_scene_spec = SceneSpec
 def gen_scene(spec: SceneSpec) -> tuple[np.ndarray, ClassMap]:
     """Data field (channels, H, W) and dense truth, deterministic in seed."""
     truth = np.zeros((spec.height, spec.width), dtype=np.int64)
-    rng = np.random.default_rng([spec.seed, _STREAM_BLOBS])
+    rng = np.random.default_rng([spec.seed, RNG_STREAMS["blobs"]])
     rows = np.arange(spec.height)[:, None]
     cols = np.arange(spec.width)[None, :]
     for b in range(spec.blob_count):
@@ -94,7 +87,7 @@ def gen_scene(spec: SceneSpec) -> tuple[np.ndarray, ClassMap]:
     data = np.ascontiguousarray(
         spec.signatures[truth].transpose(2, 0, 1))
     if spec.noise_sigma > 0.0:
-        noise_rng = np.random.default_rng([spec.seed, _STREAM_NOISE])
+        noise_rng = np.random.default_rng([spec.seed, RNG_STREAMS["noise"]])
         data += noise_rng.normal(0.0, spec.noise_sigma, size=data.shape)
     return data, ClassMap(values=truth)
 
@@ -103,13 +96,11 @@ def gen_scene(spec: SceneSpec) -> tuple[np.ndarray, ClassMap]:
 class LabelBudget:
     """How many labeled pixels to reveal for training and validation."""
 
-    n_train: int
-    n_val: int
-    seed: int
+    n_train: int = of_kind("int>=0")
+    n_val: int = of_kind("int>=0")
+    seed: int = of_kind("int>=0")
 
-    def __post_init__(self):
-        check_values(vars(self),
-                     dict(n_train="int>=0", n_val="int>=0", seed="int>=0"))
+    __post_init__ = check_fields
 
 
 def sample_labels(truth: ClassMap, budget: LabelBudget,
@@ -120,7 +111,7 @@ def sample_labels(truth: ClassMap, budget: LabelBudget,
     if budget.n_train + budget.n_val > total:
         raise ValueError(f"budget {budget.n_train}+{budget.n_val} exceeds "
                          f"{total} labeled pixels")
-    rng = np.random.default_rng([budget.seed, _STREAM_LABELS])
+    rng = np.random.default_rng([budget.seed, RNG_STREAMS["labels"]])
     perm = rng.permutation(total)
 
     def build(indices: np.ndarray) -> SelectionSet:

@@ -28,13 +28,16 @@ from .losses import ClassMap, IoUReport, iou, softmax_xent_matrix
 from .network import (
     NetworkParams,
     SelectionSet,
-    check_values,
+    check_fields,
+    field_kinds,
     forward,
+    of_kind,
     parse_key_values,
     predict_classes,
     select_matrix,
 )
 from .synth import (
+    RNG_STREAMS,
     augment,
     read_class_map,
     read_selection,
@@ -43,16 +46,7 @@ from .synth import (
 )
 from .tensor_ops import read_ftf, write_ftf
 
-_STREAM_INIT = 5
 _KERNEL_SIZE = 3
-
-# TrainConfig's fields -> their VALUE_KINDS, also the keys parse_config takes
-CONFIG_KINDS = {"iterations": "int>=0", "lr0": "finite>=0",
-                "decay_factor": "(0,1]", "decay_every": "int>=1",
-                "seed": "int>=0", "augmentation": "bool",
-                "alpha": "finite>=0", "width": "int>=1", "steps": "int>=0",
-                "activation": "activation", "h": "finite",
-                "eval_every": "int>=1"}
 
 
 @dataclass(frozen=True)
@@ -62,24 +56,26 @@ class TrainConfig:
     alpha is the strength of the quadratic output smoother; 0 turns it off.
     """
 
-    iterations: int = 250
-    lr0: float = 0.01
-    decay_factor: float = 0.5
-    decay_every: int = 100
-    seed: int = 0
-    augmentation: bool = True
-    alpha: float = 0.0
-    width: int = 32
-    steps: int = 10
-    activation: str = "tanh"
-    h: float = 1.0
-    eval_every: int = 25
+    iterations: int = of_kind("int>=0", 250)
+    lr0: float = of_kind("finite>=0", 0.01)
+    decay_factor: float = of_kind("(0,1]", 0.5)
+    decay_every: int = of_kind("int>=1", 100)
+    seed: int = of_kind("int>=0", 0)
+    augmentation: bool = of_kind("bool", True)
+    alpha: float = of_kind("finite>=0", 0.0)
+    width: int = of_kind("int>=1", 32)
+    steps: int = of_kind("int>=0", 10)
+    activation: str = of_kind("activation", "tanh")
+    h: float = of_kind("finite", 1.0)
+    eval_every: int = of_kind("int>=1", 25)
 
-    def __post_init__(self):
-        check_values(vars(self), CONFIG_KINDS)
+    __post_init__ = check_fields
 
     def lr(self, iteration: int) -> float:
         return self.lr0 * self.decay_factor ** (iteration // self.decay_every)
+
+
+CONFIG_KINDS = field_kinds(TrainConfig)  # also the keys parse_config takes
 
 
 def parse_config(text: str) -> TrainConfig:
@@ -90,7 +86,7 @@ def parse_config(text: str) -> TrainConfig:
 def init_params(bands: int, num_classes: int, width: int, steps: int,
                 activation: str, h: float, seed: int) -> NetworkParams:
     """Seeded Gaussian kernels scaled by 1 / sqrt(in_channels * kh * kw)."""
-    rng = np.random.default_rng([seed, _STREAM_INIT])
+    rng = np.random.default_rng([seed, RNG_STREAMS["init"]])
 
     def draw(out_c: int, in_c: int, kh: int, kw: int) -> np.ndarray:
         std = 1.0 / math.sqrt(in_c * kh * kw)

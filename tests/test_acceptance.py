@@ -19,6 +19,7 @@ import pytest
 import conftest
 import stepseg
 from stepseg.adjoint import gradcheck, gradient, terminal_multiplier, backward
+from stepseg.cli import gradcheck_instance
 from stepseg.losses import iou
 from stepseg.network import (
     NetworkParams,
@@ -88,18 +89,6 @@ def second_sweep(experiment_dataset, tmp_path_factory):
     assert child.returncode == 0, child.stderr
     return ((root / "out" / "sweep.csv").read_bytes(),
             (root / "out" / "summary.txt").read_bytes())
-
-
-def gradcheck_instance(seed):
-    spec = make_scene_spec(seed=seed, height=8, width=8, channels=3,
-                           num_classes=2, blob_count=3, noise_sigma=0.5,
-                           signature_scale=1.0)
-    data, truth = gen_scene(spec)
-    labels, _ = sample_labels(truth, LabelBudget(n_train=10, n_val=0,
-                                                 seed=seed))
-    params = init_params(bands=3, num_classes=2, width=4, steps=2,
-                         activation="tanh", h=1.0, seed=seed)
-    return params, data, labels
 
 
 def test_criterion_1_adjoint_matches_finite_differences():

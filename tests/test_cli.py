@@ -230,14 +230,20 @@ class TestTrain:
                      "--out", str(tmp_path / "run")])
         assert code == EXIT_CONFIG_ERROR
 
-    def test_divergence_exits_3_and_records_status(self, tmp_path, scene_dir):
+    def test_divergence_exits_3_and_records_status(self, tmp_path, scene_dir,
+                                                    capsys):
         cfg = write_config(tmp_path, TINY_CONFIG
                            + "iterations=40\nlr0=10.0\nalpha=100.0\n")
         out = tmp_path / "run"
+        capsys.readouterr()
         code = main(["train", "--config", str(cfg), "--data", str(scene_dir),
                      "--out", str(out)])
         assert code == EXIT_DIVERGED
         assert (out / "status.txt").read_text() == "diverged\n"
+        # the diverged loss is huge: printed to 6 significant digits
+        line = capsys.readouterr().out.rstrip("\n")
+        assert line.startswith("finished ") and len(line) < 100, line
+        assert np.isfinite(float(line.rpartition("final loss ")[2]))
         # the checkpoint written is the last finite one
         params = load_params(out / "params")
         assert np.all(np.isfinite(params.project))
@@ -527,6 +533,24 @@ class TestEval:
         assert capsys.readouterr().err == (
             f"error: {scene_dir / 'data.ftf'}: data has 3 bands, "
             f"network expects 16\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_truth_class_the_params_cannot_predict_names_truth(
+            self, tmp_path, capsys):
+        # params for 2 classes against a 3-class scene's truth
+        scene = tmp_path / "scene"
+        assert main(["gen-data", "--seed", "3", *TINY_SCENE, "--classes", "3",
+                     "--out", str(scene)]) == EXIT_OK
+        save_params(tmp_path / "params",
+                    init_params(bands=3, num_classes=2, width=4, steps=2,
+                                activation="tanh", h=1.0, seed=1))
+        capsys.readouterr()
+        code = main(["eval", "--params", str(tmp_path / "params"),
+                     "--data", str(scene), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {scene / 'truth.lbl'}: holds class 2, but the params "
+            f"predict only classes 0-1\n")
         assert not (tmp_path / "o").exists()
 
     def test_overflowing_forward_leaks_no_warning(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from stepseg.losses import UNLABELED, ClassMap
 from stepseg.network import SelectionSet, select_matrix
 from stepseg.synth import (
+    RNG_STREAMS,
     LabelBudget,
     apply_transform,
     augment,
@@ -24,6 +25,11 @@ from oracles import mask_position, nearest_signature_classify
 def checkerboard_truth(side=8):
     values = (np.add.outer(np.arange(side), np.arange(side)) % 2)
     return ClassMap(values=values.astype(np.int64))
+
+
+def test_rng_stream_ids_are_distinct():
+    # two purposes sharing an id would draw the same numbers from one seed
+    assert len(set(RNG_STREAMS.values())) == len(RNG_STREAMS)
 
 
 class TestSceneSpec:

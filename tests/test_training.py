@@ -24,6 +24,7 @@ from stepseg.network import (
 )
 from stepseg.synth import (
     LabelBudget,
+    SceneSpec,
     augment,
     gen_scene,
     make_scene_spec,
@@ -208,9 +209,30 @@ def outside_kind(kinds, key):
     return value, f"{key} must be {VALUE_KINDS[kind][3]}, got {value!r}"
 
 
+# (dataclass, field) for every field a value kind checks
+CHECKED_FIELDS = [(cls, f.name) for cls in (TrainConfig, SceneSpec, LabelBudget)
+                  for f in fields(cls) if f.init]
+CHECKED_FIELDS += [(NetworkParams, "h"), (NetworkParams, "activation")]
+
+
 class TestKindTables:
     """Every key of the config and manifest kinds, driven by the tables, so
     a key added later is covered here."""
+
+    @pytest.mark.parametrize("cls, name", CHECKED_FIELDS, ids=[
+        f"{cls.__name__}.{name}" for cls, name in CHECKED_FIELDS])
+    def test_checked_field_declares_its_kind(self, cls, name):
+        field, = (f for f in fields(cls) if f.name == name)
+        assert field.metadata.get("kind") in VALUE_KINDS
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("h", math.nan, "finite"), ("activation", "sigmoid", "activation")])
+    def test_params_reject_a_value_outside_its_kind(self, key, value, kind):
+        params = init_params(3, 2, 4, 2, "tanh", 1.0, seed=1)
+        with pytest.raises(ValueError) as info:
+            replace(params, **{key: value})
+        assert str(info.value) == (f"{key} must be {VALUE_KINDS[kind][3]}, "
+                                   f"got {value!r}")
 
     def test_config_kinds_name_every_field(self):
         assert list(CONFIG_KINDS) == [f.name for f in fields(TrainConfig)]
