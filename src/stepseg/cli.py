@@ -26,6 +26,7 @@ from .tensor_ops import in_file
 from .training import (
     Dataset,
     IterationLog,
+    check_truth_classes,
     csv_text,
     init_params,
     evaluate,
@@ -178,6 +179,8 @@ def _cmd_sweep(args) -> int:
     check_value(args.jobs, "int>=1", "--jobs")
     # alpha* is chosen by validation mIoU
     dataset = load_dataset(args.data, need_val=True)
+    with in_file(Path(args.data) / "truth.lbl"):
+        check_truth_classes(dataset.truth, dataset.num_classes, "the labels hold")
     with _out_dir(args.out) as out:
         result = sweep(config, alphas, seeds, dataset, jobs=args.jobs)
         (out / "sweep.csv").write_text(sweep_csv(result.records))
@@ -189,10 +192,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_eval(args) -> int:
     params = load_params(args.params)
     data, truth = load_scene(args.data)
-    if (top := int(truth.values.max(initial=-1))) >= params.num_classes:
-        raise ValueError(f"{Path(args.data) / 'truth.lbl'}: holds class {top}, "
-                         f"but the params predict only classes 0-"
-                         f"{params.num_classes - 1}")
+    with in_file(Path(args.data) / "truth.lbl"):
+        check_truth_classes(truth, params.num_classes, "the params predict")
     with _out_dir(args.out) as out:
         # a band count that differs from the params' is data.ftf's fault
         with in_file(Path(args.data) / "data.ftf"):

@@ -104,21 +104,20 @@ class IoUReport:
 
 def iou(pred: np.ndarray, truth: np.ndarray, num_classes: int) -> IoUReport:
     """Per-class IoU for classes 0..num_classes-1 over the pixels where
-    truth is labeled."""
+    truth is labeled, from one count of predicted, true and correct ids;
+    a truth id or prediction there outside 0..num_classes-1 raises."""
     if pred.shape != truth.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs truth {truth.shape}")
     mask = truth >= 0
     p, t = pred[mask], truth[mask]
-    per_class = []
-    defined = []
-    for c in range(num_classes):
-        in_p = p == c
-        in_t = t == c
-        union = int(np.count_nonzero(in_p | in_t))
-        inter = int(np.count_nonzero(in_p & in_t))
-        entry = ClassIoU(class_id=c, intersection=inter, union=union)
-        per_class.append(entry)
-        if entry.iou is not None:
-            defined.append(entry.iou)
+    for name, ids in (("truth", t), ("prediction", p)):
+        if (bad := ids[(ids < 0) | (ids >= num_classes)]).size:
+            raise ValueError(f"{name} holds class {bad[0]}, outside 0-{num_classes - 1}")
+    predicted, true, correct = (np.bincount(ids, minlength=num_classes)
+                                for ids in (p, t, t[p == t]))
+    per_class = tuple(
+        ClassIoU(class_id=c, intersection=int(i), union=int(u))
+        for c, (i, u) in enumerate(zip(correct, predicted + true - correct)))
+    defined = [entry.iou for entry in per_class if entry.iou is not None]
     miou = sum(defined) / len(defined) if defined else 0.0
-    return IoUReport(per_class=tuple(per_class), miou=miou)
+    return IoUReport(per_class=per_class, miou=miou)

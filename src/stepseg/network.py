@@ -175,7 +175,7 @@ def forward(params: NetworkParams, data: np.ndarray) -> ForwardTrace:
 
 
 def predict_classes(output: np.ndarray) -> np.ndarray:
-    """Argmax over the channel axis, (C, H, W) -> (H, W) int64."""
+    """Argmax over the channel axis, (C, ...) -> (...) int64."""
     return np.argmax(output, axis=0)
 
 
@@ -238,6 +238,8 @@ def _parse_bool(text: str) -> bool:
 # pass (None: any value of the type), and what an error says it must be
 VALUE_KINDS = {
     "int": (int, numbers.Integral, None, "an integer"),
+    "int64": (int, numbers.Integral, lambda v: -2**63 <= v < 2**63,
+              "a 64-bit integer"),
     **{f"int>={m}": (int, numbers.Integral, lambda v, m=m: v >= m,
                      f"an integer >= {m}") for m in (0, 1, 2)},
     "finite": (float, numbers.Real, math.isfinite, "a finite number"),

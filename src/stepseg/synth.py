@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .losses import ClassMap
-from .network import SelectionSet, check_fields, of_kind, parse_value
+from .network import SelectionSet, check_fields, check_value, of_kind, parse_value
 from .tensor_ops import in_file
 
 LBL_MAGIC = "LBL1"
@@ -211,7 +211,7 @@ def read_selection(path) -> tuple[SelectionSet, tuple[int, int]]:
 
 
 def _read_lbl(path) -> tuple[tuple[int, int], list[list[int]]]:
-    """The header's (H, W), and the integers of each later line."""
+    """The header's (H, W), and the 64-bit integers of each later line."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError("empty label file")
@@ -220,5 +220,6 @@ def _read_lbl(path) -> tuple[tuple[int, int], list[list[int]]]:
         raise ValueError(f"bad header {lines[0]!r}")
     shape = tuple(parse_value(v, "int", name)
                   for v, name in zip(parts[1:], ("height", "width")))
-    return shape, [[parse_value(v, "int", "entry") for v in line.split()]
-                   for line in lines[1:]]
+    # read as any integer first, so a word is named as not an integer
+    return shape, [[check_value(parse_value(v, "int", "entry"), "int64", "entry")
+                    for v in line.split()] for line in lines[1:]]

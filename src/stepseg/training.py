@@ -140,7 +140,7 @@ def _label_metrics(output: np.ndarray,
     """Loss and mIoU over the labeled pixels of an output field."""
     logits = select_matrix(output, labels)
     loss, _ = softmax_xent_matrix(logits, labels.classes)
-    report = iou(np.argmax(logits, axis=0), labels.classes,
+    report = iou(predict_classes(logits), labels.classes,
                  num_classes=output.shape[0])
     return loss, report.miou
 
@@ -200,6 +200,14 @@ def evaluate(params: NetworkParams, data: np.ndarray,
     return report, ClassMap(values=pred)
 
 
+def check_truth_classes(truth: ClassMap, num_classes: int, whose: str):
+    """Raise 'holds class <c>, but <whose> only classes 0-<n-1>' for a truth
+    class c >= num_classes, which a model of num_classes cannot score."""
+    if (top := int(truth.values.max(initial=-1))) >= num_classes:
+        raise ValueError(f"holds class {top}, but {whose} only classes "
+                         f"0-{num_classes - 1}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """One synthetic scene with its sparse train/val label sets."""
@@ -208,6 +216,11 @@ class Dataset:
     truth: ClassMap
     train: SelectionSet
     val: SelectionSet
+
+    @property
+    def num_classes(self) -> int:
+        """The class count of the models trained on these labels."""
+        return _infer_num_classes(self.train, self.val)
 
 
 def save_dataset(directory, dataset: Dataset):
@@ -334,6 +347,8 @@ def sweep(config: TrainConfig, alphas: list[float], seeds: list[int],
     if not len(dataset.val):
         raise ValueError("the sweep needs validation labels: alpha* is "
                          "chosen by validation mIoU")
+    # each cell's test mIoU scores the truth with a model of the labels' classes
+    check_truth_classes(dataset.truth, dataset.num_classes, "the labels hold")
     grid = [(alpha, seed) for alpha in sorted(alphas) for seed in sorted(seeds)]
     workers = min(jobs, len(grid), os.cpu_count() or 1)
     if workers > 1:

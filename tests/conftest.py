@@ -34,6 +34,12 @@ BAD_SCENES = {
     "duplicate_label": "train_labels.lbl: duplicate labeled pixel",
     "nonfinite_ftf": "data.ftf: values must be finite, got nan",
     "truth_id_below_unlabeled": "truth.lbl: class ids must be >= -1, got -7",
+    "label_class_beyond_int64": "train_labels.lbl: entry must be a 64-bit "
+                                f"integer, got {10**29}$",
+    "label_row_beyond_int64": "train_labels.lbl: entry must be a 64-bit "
+                              f"integer, got {10**29}$",
+    "truth_id_beyond_int64": "truth.lbl: entry must be a 64-bit integer, "
+                             f"got {10**23}$",
 }
 
 
@@ -63,10 +69,16 @@ def bad_scene(request, tmp_path):
     elif request.param == "duplicate_label":
         (directory / "train_labels.lbl").write_text(
             "LBL1 12 12\n1 2 0\n1 2 0\n")
-    elif request.param == "truth_id_below_unlabeled":
+    elif request.param == "label_class_beyond_int64":
+        with open(directory / "train_labels.lbl", "a") as fh:
+            fh.write(f"1 1 {10**29}\n")
+    elif request.param == "label_row_beyond_int64":
+        with open(directory / "train_labels.lbl", "a") as fh:
+            fh.write(f"{10**29} 1 1\n")
+    elif request.param in ("truth_id_below_unlabeled", "truth_id_beyond_int64"):
         lines = (directory / "truth.lbl").read_text().splitlines()
         row = lines[5].split()
-        row[5] = "-7"
+        row[5] = "-7" if request.param == "truth_id_below_unlabeled" else str(10**23)
         lines[5] = " ".join(row)
         (directory / "truth.lbl").write_text("\n".join(lines) + "\n")
     elif request.param == "nonfinite_ftf":

@@ -41,6 +41,9 @@ from stepseg.training import (
 
 from oracles import central_fd, conv2d_direct, iou_direct
 
+# `pytest -m "not acceptance"` skips this module and its two sweeps
+pytestmark = pytest.mark.acceptance
+
 SWEEP_ALPHAS = [0.0, 1e-3, 1e-2, 1e-1, 1.0, 10.0]
 SWEEP_SEEDS = [1, 2, 3]
 # the directory this suite imported stepseg from, e.g. the checkout's src/

@@ -318,6 +318,32 @@ class TestSweep:
             assert capsys.readouterr().err == f"error: {line}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_truth_class_the_labels_miss_names_truth(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # each cell's model predicts only the labels' classes 0-1, so its
+        # test mIoU cannot score the truth's class 2
+        def no_training(*args):
+            raise AssertionError("a training iteration ran")
+
+        scene = tmp_path / "scene"
+        assert main(["gen-data", "--seed", "3", "--classes", "3", "--size",
+                     "16x16", "--train-labels", "40", "--val-labels", "20",
+                     "--out", str(scene)]) == EXIT_OK
+        for name in ("train_labels.lbl", "val_labels.lbl"):
+            lines = (scene / name).read_text().splitlines()
+            (scene / name).write_text("".join(
+                line + "\n" for line in lines if not line.endswith(" 2")))
+        monkeypatch.setattr(stepseg.training, "gradient", no_training)
+        capsys.readouterr()
+        code = main(["sweep", "--config", str(write_config(tmp_path)),
+                     "--alphas", "0", "--seeds", "1", "--data", str(scene),
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {scene / 'truth.lbl'}: holds class 2, but the labels "
+            f"hold only classes 0-1\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestBadScene:
     @pytest.mark.parametrize("command", ["train", "sweep"])

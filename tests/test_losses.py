@@ -167,6 +167,20 @@ class TestIoU:
             iou(np.zeros((2, 2), dtype=np.int64),
                 np.zeros((3, 3), dtype=np.int64), num_classes=2)
 
+    def test_truth_class_beyond_num_classes_rejected(self):
+        # a truth class no prediction can reach would leave the mean silently
+        truth = np.array([[0, 2], [1, -1]])
+        with pytest.raises(ValueError) as info:
+            iou(np.zeros((2, 2), dtype=np.int64), truth, num_classes=2)
+        assert str(info.value) == "truth holds class 2, outside 0-1"
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_prediction_outside_classes_rejected(self, bad):
+        pred = np.array([[0, 1], [bad, 2]])
+        with pytest.raises(ValueError) as info:
+            iou(pred, np.array([[0, 1], [2, 2]]), num_classes=3)
+        assert str(info.value) == f"prediction holds class {bad}, outside 0-2"
+
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_counting_oracle(self, seed):
         rng = np.random.default_rng(seed)

@@ -529,6 +529,23 @@ class TestSweep:
         with pytest.raises(ValueError, match="validation labels"):
             sweep(tiny_config(), [0.0], [1], dataset)
 
+    def test_truth_class_the_labels_miss_rejected_before_any_cell(
+            self, monkeypatch):
+        # each cell's test mIoU scores the truth with a model of the labels'
+        # classes 0-1, which cannot place a truth class 2
+        def no_cell(*args):
+            raise AssertionError("a sweep cell ran")
+
+        monkeypatch.setattr(stepseg.training, "_run_one", no_cell)
+        dataset = make_dataset()
+        values = dataset.truth.values.copy()
+        values[0, 0] = 2
+        with pytest.raises(ValueError) as info:
+            sweep(tiny_config(), [0.0], [1],
+                  replace(dataset, truth=ClassMap(values=values)))
+        assert str(info.value) == ("holds class 2, but the labels hold only "
+                                   "classes 0-1")
+
     def test_argmax_skips_diverged_and_breaks_ties_low(self, monkeypatch):
         table = {
             (0.05, 1): ("diverged", 0.99), (0.05, 2): ("diverged", 0.99),
