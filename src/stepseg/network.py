@@ -12,7 +12,9 @@ activation. The multiplier sweep needs every state, but the trace keeps only
 the checkpoints y_0, y_k, y_2k, ... and y_n (k = ceil(sqrt(n))) beside every
 activation a_j = f(K_j y_{j-1}). Since y_j = y_{j-1} - h a_j, reverse_steps
 replays the states between two checkpoints with forward's own elementwise
-step, bit for bit, with no convolution and no activation call.
+step, bit for bit, with no convolution and no activation call. The sweep
+reads each a_j and each checkpoint once, so the trace lets go of each as
+the sweep passes it: a trace can be swept only once.
 """
 
 from __future__ import annotations
@@ -112,7 +114,9 @@ class ForwardTrace:
 
     activations holds a_j = f(K_j y_{j-1}) for j = 1..n. states holds y_j for
     j = 0, k, 2k, ... and j = n, with k = ceil(sqrt(n)), so
-    states[-1] is always y_n. reverse_steps gives the states in between.
+    states[-1] is always y_n. reverse_steps gives the states in between,
+    and spends the trace: it cuts both tuples to shorter prefixes as it
+    goes, so once swept they are empty (for n >= 1).
     """
 
     params: NetworkParams
@@ -128,19 +132,35 @@ class ForwardTrace:
 
         Each segment between two checkpoints is replayed forward from its
         first checkpoint with forward's own step, so every y_{j-1} is
-        bitwise the state forward computed. At most one segment of
-        replayed states is alive, and each is released once yielded.
+        bitwise the state forward computed. The trace drops a segment's
+        checkpoints as its replay starts, and a_j before yielding it, so
+        the caller holds the only reference to what was yielded. At most
+        one segment of replayed states is alive, and each is released once
+        yielded. Raises ValueError here, not at the first step, if the
+        trace was swept before.
         """
-        n = len(self.activations)
+        n = len(self.params.layers)
+        if len(self.activations) != n:
+            raise ValueError("trace already swept; run forward again")
+        return self._spend(n)
+
+    def _spend(self, n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         k = _checkpoint_stride(n)
         h = self.params.h
         for c in range(len(self.states) - 2, -1, -1):
             start, stop = c * k, min(c * k + k, n)
             segment = [self.states[c]]
+            object.__setattr__(self, "states", self.states[:c])
             for j in range(start + 1, stop):
                 segment.append(_step(segment[-1], self.activations[j - 1], h))
             for j in range(stop, start, -1):
-                yield j, segment.pop(), self.activations[j - 1]
+                yield j, segment.pop(), self._pop_activation()
+
+    def _pop_activation(self) -> np.ndarray:
+        """The last activation kept, a_j, which the trace drops."""
+        a = self.activations[-1]
+        object.__setattr__(self, "activations", self.activations[:-1])
+        return a
 
 
 def _check_finite(field: np.ndarray, where: str):

@@ -147,11 +147,13 @@ def _transposed(cotangent: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(k[:, :, ::-1, ::-1].swapaxes(0, 1))
 
 
-# Activation registry: kind -> (f(z), f'(z) from a = f(z)); relu'(0) is 0.
+# Activation registry: kind -> (f(z), f'(z) from a = f(z) into out);
+# relu'(0) is 0.
 _ACTIVATIONS = {
     "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out),
-             lambda a: (a > 0.0).astype(np.float64)),
-    "tanh": (np.tanh, lambda a: np.subtract(1.0, d := np.square(a), out=d)),
+             lambda a, out: np.greater(a, 0.0, out=out)),
+    "tanh": (np.tanh,
+             lambda a, out: np.subtract(1.0, np.square(a, out=out), out=out)),
 }
 
 ACTIVATION_KINDS = tuple(sorted(_ACTIVATIONS))
@@ -161,9 +163,10 @@ def activate(z: np.ndarray, kind: str, out=None) -> np.ndarray:
     return _ACTIVATIONS[kind][0](z, out=out)
 
 
-def activate_deriv(a: np.ndarray, kind: str) -> np.ndarray:
-    """f'(z) from a = f(z): 1 - a**2 or [a > 0], with no transcendental call."""
-    return _ACTIVATIONS[kind][1](a)
+def activate_deriv(a: np.ndarray, kind: str, out=None) -> np.ndarray:
+    """f'(z) from a = f(z): 1 - a**2 or [a > 0], with no transcendental call,
+    written into out (a itself may be out) or a new field."""
+    return _ACTIVATIONS[kind][1](a, np.empty_like(a) if out is None else out)
 
 
 def write_ftf(path, field: np.ndarray) -> None:

@@ -119,6 +119,8 @@ def test_criterion_2_assembled_state_gradient_is_zero(experiment_dataset):
     trace = forward(params, data)
     terminal = terminal_multiplier(trace, experiment_dataset.train,
                                    alpha=1e-3)
+    # the sweep overwrites each a_j with its weighted cotangent
+    activations = [a.copy() for a in trace.activations]
     seen = {}
     backward(trace, terminal,
              multiplier_hook=lambda j, p: seen.__setitem__(j, p.copy()))
@@ -126,7 +128,7 @@ def test_criterion_2_assembled_state_gradient_is_zero(experiment_dataset):
     residual = 0.0 if np.array_equal(seen[10], top) else float(
         np.max(np.abs(seen[10] - top)))
     for j in range(10, 0, -1):
-        weighted = activate_deriv(trace.activations[j - 1],
+        weighted = activate_deriv(activations[j - 1],
                                   params.activation) * seen[j]
         stepped = seen[j] - params.h * conv2d_adjoint_input(
             weighted, params.layers[j - 1])

@@ -163,6 +163,8 @@ class TestBackward:
         params, data, q = small_instance(9, steps=4)
         trace = forward(params, data)
         terminal = terminal_multiplier(trace, q, alpha=0.5)
+        # the sweep overwrites each a_j with its weighted cotangent
+        activations = [a.copy() for a in trace.activations]
         seen = {}
         backward(trace, terminal,
                  multiplier_hook=lambda j, p: seen.__setitem__(j, p.copy()))
@@ -170,7 +172,7 @@ class TestBackward:
             seen[4], conv2d_adjoint_input(terminal.output_cotangent,
                                           params.project))
         for j in range(4, 0, -1):
-            weighted = activate_deriv(trace.activations[j - 1],
+            weighted = activate_deriv(activations[j - 1],
                                       params.activation) * seen[j]
             stepped = seen[j] - params.h * conv2d_adjoint_input(
                 weighted, params.layers[j - 1])
@@ -194,6 +196,52 @@ class TestBackward:
         alive = sum(1 for r in refs if r() is not None)
         assert alive <= 2
 
+    def test_sweep_frees_each_activation_and_checkpoint_after_its_use(self):
+        # by hook(j - 1, p) the sweep has spent a_j, whose buffer held the
+        # weighted cotangent, and every checkpoint past y_{j-1}; once it
+        # returns, nothing the trace held is left
+        steps = 10
+        params, data, q = small_instance(11, steps=steps, h=0.4)
+        trace = forward(params, data)
+        refs = {("a", j): weakref.ref(a)
+                for j, a in enumerate(trace.activations, start=1)}
+        refs.update({("y", j): weakref.ref(y) for j, y in
+                     zip(checkpoint_indices(steps), trace.states, strict=True)})
+        alive = {}
+
+        def hook(j, p):
+            alive[j] = sorted(key for key, ref in refs.items()
+                              if ref() is not None)
+
+        backward(trace, terminal_multiplier(trace, q, alpha=0.3),
+                 multiplier_hook=hook)
+        assert sorted(alive) == list(range(steps + 1))
+        assert len(alive[steps]) == len(refs)
+        for j in range(steps):
+            assert [key for key in alive[j] if key[1] > j] == [], j
+        assert [key for key, ref in refs.items() if ref() is not None] == []
+        assert trace.activations == () and trace.states == ()
+
+    def test_second_sweep_raises(self):
+        # a spent trace must not yield nothing, which would leave every
+        # layer gradient None
+        params, data, q = small_instance(5, steps=3)
+        trace = forward(params, data)
+        terminal = terminal_multiplier(trace, q, alpha=0.3)
+        backward(trace, terminal)
+        with pytest.raises(ValueError, match="trace already swept; run "
+                                             "forward again"):
+            backward(trace, terminal)
+        trace = forward(params, data)
+        list(trace.reverse_steps())
+        with pytest.raises(ValueError, match="trace already swept"):
+            trace.reverse_steps()
+        # one step taken spends the trace too
+        trace = forward(params, data)
+        next(trace.reverse_steps())
+        with pytest.raises(ValueError, match="trace already swept"):
+            backward(trace, terminal)
+
     def test_alpha_enters_through_terminal_arrays_only(self):
         # Feeding backward the same terminal arrays with a different alpha
         # scalar must give bitwise-identical parameter gradients: the
@@ -207,7 +255,8 @@ class TestBackward:
                                  reg_value=terminal.reg_value,
                                  alpha=123.0)
         a = backward(trace, terminal)
-        b = backward(trace, relabeled)
+        # the sweep spent the trace; forward is deterministic
+        b = backward(forward(params, data), relabeled)
         for ga, gb in zip(bundle_stacks(a), bundle_stacks(b)):
             np.testing.assert_array_equal(ga, gb)
 
@@ -259,14 +308,16 @@ class TestCheckpointReplay:
         assert len(trace.states) == len(kept)
         for got, j in zip(trace.states, kept):
             np.testing.assert_array_equal(got, states[j])
+        activations = trace.activations
         replayed = list(trace.reverse_steps())
         assert [j for j, _, _ in replayed] == list(range(steps, 0, -1))
         for j, y_prev, a in replayed:
             np.testing.assert_array_equal(y_prev, states[j - 1])
-            assert a is trace.activations[j - 1]
+            assert a is activations[j - 1]
 
+        # the replay spent the trace; forward is deterministic
         seen = []
-        bundle = backward(trace, terminal,
+        bundle = backward(forward(params, data), terminal,
                           multiplier_hook=lambda j, p: seen.append(
                               (j, p.copy())))
         for got, want in zip(bundle_stacks(bundle), grads, strict=True):
@@ -345,6 +396,29 @@ class TestCheckpointReplay:
         finally:
             tracemalloc.stop()
         assert peak < bound, (peak / (width * 32 * 32 * 8), fields)
+
+    def test_sweep_peak_stays_near_the_forward_peak(self):
+        # at n = 10 the forward pass peaks at about 15 fields of
+        # (width, H, W); a sweep that held the whole trace to its end, and
+        # a new field per weighted cotangent, peaked at about 22 here, one
+        # that spends the trace at about 17.5. tracemalloc counts numpy's
+        # allocations, which do not depend on the BLAS thread count.
+        size, width = 64, 32
+        params = init_params(bands=3, num_classes=2, width=width, steps=10,
+                             activation="tanh", h=1.0, seed=0)
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((3, size, size))
+        flat = rng.permutation(size * size)[:100]
+        q = SelectionSet(rows=flat // size, cols=flat % size,
+                         classes=rng.integers(0, 2, size=100))
+        field = width * size * size * 8
+        tracemalloc.start()
+        try:
+            gradient(params, data, q, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 19 * field, peak / field
 
 
 class TestGradientAgainstFiniteDifferences:

@@ -77,3 +77,26 @@ def test_trace_count_is_the_bytes_the_trace_holds(spans):
     assert spans._trace_counts((params, data), trace) == (
         sum(a.nbytes for a in held),)
     assert len(trace.activations) == 5 and len(trace.states) == 3
+
+
+def test_trace_count_is_taken_before_the_sweep_spends_the_trace(spans):
+    # gradient's sweep empties the trace after forward returns; the span
+    # counts it at forward's exit, so network.trace_mib is still the bytes
+    # of the whole trace
+    data, truth = synth.gen_scene(synth.make_scene_spec(
+        seed=3, height=8, width=8, channels=3))
+    train_sel, _ = synth.sample_labels(truth, synth.LabelBudget(10, 5, seed=3))
+    params = training.init_params(bands=3, num_classes=2, width=4, steps=5,
+                                  activation="tanh", h=1.0, seed=0)
+    recorder = spans.Recorder(spans=True)
+    recorder.install()
+    try:
+        recorder.tracing = True
+        adjoint.gradient(params, data, train_sel, 0.001)
+    finally:
+        recorder.uninstall()
+    counts = [span[7] for span in recorder.spans
+              if span[3] == "network.forward"]
+    trace = network.forward(params, data)
+    held = (trace.data, trace.output, *trace.states, *trace.activations)
+    assert counts == [(sum(a.nbytes for a in held),)]

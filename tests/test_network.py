@@ -25,11 +25,11 @@ from oracles import argmax_direct, forward_steps_direct, inner
 
 def replayed_states(trace):
     """y_0..y_n: y_{j-1} for j = n..1 from reverse_steps, then the last
-    checkpoint y_n."""
+    checkpoint y_n, read before the replay spends the trace."""
+    n, last = len(trace.activations), trace.states[-1]
     steps = list(trace.reverse_steps())
-    assert [j for j, _, _ in steps] == list(range(len(trace.activations), 0,
-                                                  -1))
-    return [y for _, y, _ in reversed(steps)] + [trace.states[-1]]
+    assert [j for j, _, _ in steps] == list(range(n, 0, -1))
+    return [y for _, y, _ in reversed(steps)] + [last]
 
 
 def random_params(rng, bands=3, width=4, num_classes=2, steps=2, ksize=3,
@@ -93,12 +93,13 @@ class TestForward:
         assert isinstance(trace, ForwardTrace)
         # k = 2 keeps y_0, y_2 and y_3; the accessor gives all four
         assert len(trace.states) == 3
-        assert len(replayed_states(trace)) == 4
         assert len(trace.activations) == 3
         assert trace.preacts is trace.activations
         assert trace.params is params
         assert trace.output.shape == (2, 6, 5)
-        for y in replayed_states(trace):
+        states = replayed_states(trace)
+        assert len(states) == 4
+        for y in states:
             assert y.shape == (4, 6, 5)
 
     def test_zero_layers_gives_identity_dynamics(self):
@@ -164,8 +165,9 @@ class TestForward:
         for act in ("tanh", "relu"):
             params = random_params(rng, steps=3, activation=act)
             trace = forward(params, rng.standard_normal((3, 6, 6)))
+            activations = trace.activations
             for j, y_prev, a in trace.reverse_steps():
-                assert a is trace.activations[j - 1]
+                assert a is activations[j - 1]
                 np.testing.assert_array_equal(
                     a, activate(conv2d(y_prev, params.layers[j - 1]), act))
 

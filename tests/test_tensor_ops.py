@@ -383,6 +383,14 @@ class TestActivations:
         relu_d = activate_deriv(activate(z, "relu"), "relu")
         assert relu_d.tobytes() == (z > 0).astype(np.float64).tobytes()
 
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    def test_deriv_into_its_own_input_keeps_bits(self, kind):
+        # backward forms f'(z_j) * p_j in a_j's buffer
+        a = np.array([[[0.0, -0.0, -3.5, -1e-300, -0.75, 0.25, 1.0, 7.0]]])
+        want = activate_deriv(a.copy(), kind)
+        assert activate_deriv(a, kind, out=a) is a
+        assert a.tobytes() == want.tobytes()
+
     def test_activate_writes_into_out(self):
         for kind in ACTIVATION_KINDS:
             z = np.array([[[-2.0, 0.5, 3.0]]])
