@@ -157,7 +157,13 @@ class ForwardTrace:
                 yield j, segment.pop(), self._pop_activation()
 
     def _pop_activation(self) -> np.ndarray:
-        """The last activation kept, a_j, which the trace drops."""
+        """The last activation kept, a_j, which the trace drops.
+
+        A call, not a local of _spend, on purpose: a generator's locals
+        live while it is suspended at its yield, so a local holding a_j
+        would keep it alive after the caller let go of it, and the sweep
+        would no longer free each activation after its one use.
+        """
         a = self.activations[-1]
         object.__setattr__(self, "activations", self.activations[:-1])
         return a
@@ -170,26 +176,34 @@ def _check_finite(field: np.ndarray, where: str):
 
 def forward(params: NetworkParams, data: np.ndarray) -> ForwardTrace:
     """Run the network on a (bands, H, W) field, keeping every activation
-    and the checkpointed states (see ForwardTrace)."""
+    and the checkpointed states (see ForwardTrace).
+
+    A stage whose result is not finite raises FloatingPointError naming
+    it ("nonfinite values after lift", "... layer j", "... project").
+    numpy's overflow and invalid warnings are silenced only around the
+    stages those checks cover, so forward never warns, and the caller's
+    numpy error state is the same after it returns or raises.
+    """
     data = as_field(data)
     if data.shape[0] != params.bands:
         raise ValueError(f"data has {data.shape[0]} bands, "
                          f"network expects {params.bands}")
     n = len(params.layers)
     k = _checkpoint_stride(n)
-    y = conv2d(data, params.lift)
-    _check_finite(y, "lift")
-    states = [y]
-    activations = []
-    for j, kernel in enumerate(params.layers, start=1):
-        a = conv2d(y, kernel)  # z_j, overwritten by a_j = f(z_j)
-        activations.append(activate(a, params.activation, out=a))
-        y = _step(y, a, params.h)
-        _check_finite(y, f"layer {j - 1}")
-        if j % k == 0 or j == n:
-            states.append(y)
-    output = conv2d(y, params.project)
-    _check_finite(output, "project")
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = conv2d(data, params.lift)
+        _check_finite(y, "lift")
+        states = [y]
+        activations = []
+        for j, kernel in enumerate(params.layers, start=1):
+            a = conv2d(y, kernel)  # z_j, overwritten by a_j = f(z_j)
+            activations.append(activate(a, params.activation, out=a))
+            y = _step(y, a, params.h)
+            _check_finite(y, f"layer {j - 1}")
+            if j % k == 0 or j == n:
+                states.append(y)
+        output = conv2d(y, params.project)
+        _check_finite(output, "project")
     return ForwardTrace(params=params, data=data, states=tuple(states),
                         activations=tuple(activations), output=output)
 

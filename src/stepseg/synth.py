@@ -61,6 +61,7 @@ class SceneSpec:
         object.__setattr__(self, "signatures", sigs)
 
 
+# alias kept only for perfbench/workloads.py; everything else uses SceneSpec
 make_scene_spec = SceneSpec
 
 
@@ -89,6 +90,10 @@ def gen_scene(spec: SceneSpec) -> tuple[np.ndarray, ClassMap]:
     if spec.noise_sigma > 0.0:
         noise_rng = np.random.default_rng([spec.seed, RNG_STREAMS["noise"]])
         data += noise_rng.normal(0.0, spec.noise_sigma, size=data.shape)
+        # a draw too wide for float64 is infinite, and no reader takes it
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"noise_sigma must give finite data, "
+                             f"got {spec.noise_sigma!r}")
     return data, ClassMap(values=truth)
 
 

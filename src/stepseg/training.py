@@ -169,8 +169,10 @@ def train(config: TrainConfig, data: np.ndarray, train_labels: SelectionSet,
         is_eval = (it + 1) % config.eval_every == 0 or it == config.iterations - 1
         val_loss = val_miou = None
         try:
-            # overflow is detected by explicit finite checks, so numpy's
-            # transient warnings would only be noise
+            # forward reports its own overflow; one in the smoother value
+            # shows in the objective check, and one in the multiplier sweep
+            # or the SGD update makes params the next forward rejects, so
+            # numpy's warning is noise
             with np.errstate(over="ignore", invalid="ignore"):
                 grads = gradient(params, step_data, step_labels, config.alpha)
                 if not math.isfinite(grads.objective):
@@ -192,10 +194,7 @@ def train(config: TrainConfig, data: np.ndarray, train_labels: SelectionSet,
 def evaluate(params: NetworkParams, data: np.ndarray,
              truth: ClassMap) -> tuple[IoUReport, ClassMap]:
     """Dense-truth IoU of the argmax prediction, and the prediction."""
-    # forward checks its states for finiteness, so numpy's overflow
-    # warning would only be noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        pred = predict_classes(forward(params, data).output)
+    pred = predict_classes(forward(params, data).output)
     report = iou(pred, truth.values, num_classes=params.num_classes)
     return report, ClassMap(values=pred)
 
@@ -310,12 +309,11 @@ def _run_one(config: TrainConfig, dataset: Dataset, alpha: float,
     run_config = replace(config, seed=seed, alpha=alpha)
     result = train(run_config, dataset.data, dataset.train, dataset.val)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            output = forward(result.params, dataset.data).output
-            train_loss, _ = _label_metrics(output, dataset.train)
-            _, val_miou = _label_metrics(output, dataset.val)
-            test_miou = iou(predict_classes(output), dataset.truth.values,
-                            num_classes=result.params.num_classes).miou
+        output = forward(result.params, dataset.data).output
+        train_loss, _ = _label_metrics(output, dataset.train)
+        _, val_miou = _label_metrics(output, dataset.val)
+        test_miou = iou(predict_classes(output), dataset.truth.values,
+                        num_classes=result.params.num_classes).miou
     except FloatingPointError:
         train_loss = val_miou = test_miou = math.nan
         result = replace(result, status="diverged")

@@ -8,8 +8,8 @@ from stepseg.losses import ClassMap
 from stepseg.network import save_params
 from stepseg.synth import (
     LabelBudget,
+    SceneSpec,
     gen_scene,
-    make_scene_spec,
     sample_labels,
     write_class_map,
     write_selection,
@@ -47,8 +47,8 @@ BAD_SCENES = {
 def bad_scene(request, tmp_path):
     """A scene directory with one defect, and the message that rejects it."""
     directory = tmp_path / "scene"
-    data, truth = gen_scene(make_scene_spec(seed=3, height=12, width=12,
-                                            channels=3))
+    data, truth = gen_scene(SceneSpec(seed=3, height=12, width=12,
+                                      channels=3))
     train_sel, val_sel = sample_labels(truth, LabelBudget(20, 8, seed=3))
     save_dataset(directory, Dataset(data=data, truth=truth,
                                     train=train_sel, val=val_sel))

@@ -28,7 +28,7 @@ from stepseg.network import (
     select_matrix,
 )
 from stepseg.regularizer import smoother_grad, smoother_value
-from stepseg.synth import LabelBudget, gen_scene, make_scene_spec, sample_labels
+from stepseg.synth import LabelBudget, SceneSpec, gen_scene, sample_labels
 from stepseg.tensor_ops import activate_deriv, conv2d, conv2d_adjoint_input
 from stepseg.training import (
     Dataset,
@@ -59,7 +59,7 @@ def record(number: int, ok: bool, detail: str):
 @pytest.fixture(scope="session")
 def experiment_dataset():
     """The default 64x64 scene: 16 bands, 2 classes, 200/50 point labels."""
-    data, truth = gen_scene(make_scene_spec(seed=1))
+    data, truth = gen_scene(SceneSpec(seed=1))
     train_sel, val_sel = sample_labels(truth, LabelBudget(200, 50, seed=1))
     return Dataset(data=data, truth=truth, train=train_sel, val=val_sel)
 

@@ -372,21 +372,22 @@ class TestCheckpointReplay:
     def test_gradient_peak_memory_follows_checkpoint_rule(self):
         # One gradient may hold, in whole (width, H, W) fields: the n
         # activations, the checkpointed states, one replayed segment of
-        # k - 1 states, a working set of 7 (p_j, the weighted cotangent,
-        # the adjoint convolution's output, the one temporary of f' read
-        # from a_j, the small output-sized arrays, the zero-bordered slab a
-        # convolution gathers its band from, and one spare field: f' from
-        # z_j made two temporaries, and the measured peak did not fall when
-        # the second went), and a convolution's band of kh * kw fields (a
-        # 32x32 field at width 8 is one band). p_n is not counted: backward
-        # frees it after the first step. A full trace of n + 1 states
-        # exceeds this by about 10 fields.
+        # k - 1 states, a working set of 4 (p_j, the adjoint convolution's
+        # output that becomes p_{j-1}, the zero-bordered slab a convolution
+        # gathers its band from, and the small output-sized arrays), and a
+        # convolution's band of kh * kw fields (a 32x32 field at width 8 is
+        # one band). The weighted cotangent f'(z_j) * p_j is formed in a_j's
+        # own buffer, so it is counted among the activations. p_n is not
+        # counted: backward frees it after the first step. y_n is counted,
+        # though the sweep drops it when its first segment starts. Here
+        # that is 37 fields; the measured peak is about 35.8. A full trace
+        # of n + 1 states exceeds this by about 10 fields.
         steps, width, bands = 16, 8, 3
         params, data, q = small_instance(41, bands=bands, width=width,
                                          steps=steps, height=32,
                                          width_px=32, scale=0.2, h=0.5)
         k = max(1, math.ceil(math.sqrt(steps)))
-        fields = (steps + len(checkpoint_indices(steps)) + (k - 1) + 7
+        fields = (steps + len(checkpoint_indices(steps)) + (k - 1) + 4
                   + 3 * 3)
         bound = fields * width * 32 * 32 * 8
         tracemalloc.start()

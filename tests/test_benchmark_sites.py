@@ -9,6 +9,7 @@ and run its recorder on a tiny instance.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stepseg import adjoint, network, synth, training
@@ -35,8 +36,18 @@ def test_every_site_resolves_to_a_callable(spans):
         assert callable(getattr(module, attr, None)), site
 
 
+def test_perfbench_aliases_are_the_names_they_stand_for():
+    # perfbench/ reads these two names; every test elsewhere uses the
+    # names they alias
+    assert synth.make_scene_spec is synth.SceneSpec
+    params = training.init_params(bands=3, num_classes=2, width=4, steps=2,
+                                  activation="tanh", h=1.0, seed=0)
+    trace = network.forward(params, np.ones((3, 4, 4)))
+    assert trace.preacts is trace.activations
+
+
 def test_traced_train_and_gradient_record_every_span(spans):
-    data, truth = synth.gen_scene(synth.make_scene_spec(
+    data, truth = synth.gen_scene(synth.SceneSpec(
         seed=3, height=8, width=8, channels=3))
     train_sel, val_sel = synth.sample_labels(
         truth, synth.LabelBudget(10, 5, seed=3))
@@ -68,7 +79,7 @@ def test_traced_train_and_gradient_record_every_span(spans):
 def test_trace_count_is_the_bytes_the_trace_holds(spans):
     # network.trace_mib reads the trace through the preacts alias; it must
     # still sum exactly the arrays the trace keeps
-    data, truth = synth.gen_scene(synth.make_scene_spec(
+    data, truth = synth.gen_scene(synth.SceneSpec(
         seed=3, height=8, width=8, channels=3))
     params = training.init_params(bands=3, num_classes=2, width=4, steps=5,
                                   activation="tanh", h=1.0, seed=0)
@@ -83,7 +94,7 @@ def test_trace_count_is_taken_before_the_sweep_spends_the_trace(spans):
     # gradient's sweep empties the trace after forward returns; the span
     # counts it at forward's exit, so network.trace_mib is still the bytes
     # of the whole trace
-    data, truth = synth.gen_scene(synth.make_scene_spec(
+    data, truth = synth.gen_scene(synth.SceneSpec(
         seed=3, height=8, width=8, channels=3))
     train_sel, _ = synth.sample_labels(truth, synth.LabelBudget(10, 5, seed=3))
     params = training.init_params(bands=3, num_classes=2, width=4, steps=5,

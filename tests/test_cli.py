@@ -152,6 +152,15 @@ class TestGenData:
             f"error: signature_scale {message}\n")
         assert not (tmp_path / "scene").exists()
 
+    def test_nonfinite_noise_is_named(self, tmp_path, capsys):
+        # a finite sigma whose draw overflows: no reader could take the data
+        code = main(["gen-data", "--seed", "1", "--size", "16x16",
+                     "--noise", "1e308", "--out", str(tmp_path / "scene")])
+        assert code == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "error: noise_sigma must give finite data, got 1e+308\n")
+        assert not (tmp_path / "scene").exists()
+
     def test_defaults_are_scene_spec_defaults(self, tmp_path):
         out = tmp_path / "scene"
         assert main(["gen-data", "--seed", "2", "--out", str(out)]) == EXIT_OK

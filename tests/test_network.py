@@ -94,7 +94,6 @@ class TestForward:
         # k = 2 keeps y_0, y_2 and y_3; the accessor gives all four
         assert len(trace.states) == 3
         assert len(trace.activations) == 3
-        assert trace.preacts is trace.activations
         assert trace.params is params
         assert trace.output.shape == (2, 6, 5)
         states = replayed_states(trace)
@@ -158,7 +157,7 @@ class TestForward:
                                        params.activation)
             np.testing.assert_array_equal(states[j + 1], states[j] - step)
 
-    def test_preacts_match_recomputation(self):
+    def test_activations_match_recomputation(self):
         # the trace keeps a_j = f(K_j y_{j-1}), bitwise the activation of
         # the preactivation recomputed from the replayed state
         rng = np.random.default_rng(5)
@@ -185,12 +184,13 @@ class TestForward:
         with pytest.raises(ValueError, match="bands"):
             forward(params, rng.standard_normal((4, 5, 5)))
 
+    # Under the suite's warnings-as-errors, a numpy overflow warning would
+    # fail these before forward's own report: forward must not warn.
     def test_overflow_at_lift_is_reported(self):
         params = NetworkParams(lift=np.full((2, 1, 1, 1), 1e200),
                                layers=(),
                                project=np.ones((2, 2, 1, 1)))
-        with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
-                                                       match="lift"):
+        with pytest.raises(FloatingPointError, match="lift"):
             forward(params, np.full((1, 2, 2), 1e200))
 
     def test_overflow_inside_step_names_the_layer(self):
@@ -199,9 +199,29 @@ class TestForward:
                                layers=(np.full((2, 2, 1, 1), 1e200),),
                                project=np.ones((2, 2, 1, 1)),
                                activation="relu")
-        with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
-                                                       match="layer 0"):
+        with pytest.raises(FloatingPointError, match="layer 0"):
             forward(params, np.ones((1, 2, 2)))
+
+    @pytest.mark.parametrize("caller", ["default", "raise"])
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_leaves_the_numpy_error_state_as_it_was(self, caller, scale):
+        # forward silences numpy only for its own stages: the caller's
+        # error state is back in force whether it returns or raises
+        params = NetworkParams(lift=np.full((2, 1, 1, 1), scale),
+                               layers=(np.full((2, 2, 1, 1), scale),),
+                               project=np.ones((2, 2, 1, 1)),
+                               activation="relu")
+        saved = np.seterr(all="raise") if caller == "raise" else np.geterr()
+        try:
+            before = np.geterr()
+            if scale == 1.0:
+                forward(params, np.ones((1, 2, 2)))
+            else:
+                with pytest.raises(FloatingPointError, match="layer 0"):
+                    forward(params, np.ones((1, 2, 2)))
+            assert np.geterr() == before
+        finally:
+            np.seterr(**saved)
 
     def test_perturbation_growth_bounded(self):
         # Smoke test: tanh has slope at most 1, so an input perturbation

@@ -8,10 +8,10 @@ from stepseg.network import SelectionSet, select_matrix
 from stepseg.synth import (
     RNG_STREAMS,
     LabelBudget,
+    SceneSpec,
     apply_transform,
     augment,
     gen_scene,
-    make_scene_spec,
     read_class_map,
     read_selection,
     sample_labels,
@@ -36,34 +36,34 @@ class TestSceneSpec:
     def test_duplicate_signatures_rejected(self):
         # a zero scale makes every row zero
         with pytest.raises(ValueError, match="signature"):
-            make_scene_spec(seed=0, signature_scale=0.0)
+            SceneSpec(seed=0, signature_scale=0.0)
 
     def test_noise_sigma_must_be_finite_nonnegative(self):
         for sigma in (-0.5, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="noise_sigma"):
-                make_scene_spec(seed=0, noise_sigma=sigma)
+                SceneSpec(seed=0, noise_sigma=sigma)
 
     def test_negative_blob_count_rejected(self):
         with pytest.raises(ValueError, match="blob_count"):
-            make_scene_spec(seed=0, blob_count=-1)
+            SceneSpec(seed=0, blob_count=-1)
 
     def test_negative_seed_rejected(self):
         # before numpy's seeding, whose message does not name the seed
         with pytest.raises(ValueError) as info:
-            make_scene_spec(seed=-1)
+            SceneSpec(seed=-1)
         assert str(info.value) == "seed must be an integer >= 0, got -1"
 
     def test_signatures_depend_only_on_seed_and_scale(self):
-        a = make_scene_spec(seed=7, signature_scale=1.0)
-        b = make_scene_spec(seed=7, height=9, blob_count=0, noise_sigma=0.0,
-                            signature_scale=2.0)
+        a = SceneSpec(seed=7, signature_scale=1.0)
+        b = SceneSpec(seed=7, height=9, blob_count=0, noise_sigma=0.0,
+                      signature_scale=2.0)
         np.testing.assert_array_equal(2.0 * a.signatures, b.signatures)
 
 
 class TestGenScene:
     def test_no_blobs_no_noise_is_constant_background(self):
-        spec = make_scene_spec(seed=3, height=6, width=5, channels=4,
-                               blob_count=0, noise_sigma=0.0)
+        spec = SceneSpec(seed=3, height=6, width=5, channels=4,
+                         blob_count=0, noise_sigma=0.0)
         data, truth = gen_scene(spec)
         np.testing.assert_array_equal(truth.values, np.zeros((6, 5)))
         for c in range(4):
@@ -71,15 +71,15 @@ class TestGenScene:
                 data[c], np.full((6, 5), spec.signatures[0, c]))
 
     def test_same_seed_is_bitwise_identical(self):
-        spec = make_scene_spec(seed=4, height=16, width=16)
+        spec = SceneSpec(seed=4, height=16, width=16)
         d1, t1 = gen_scene(spec)
         d2, t2 = gen_scene(spec)
         np.testing.assert_array_equal(d1, d2)
         np.testing.assert_array_equal(t1.values, t2.values)
 
     def test_shapes_and_dtypes(self):
-        spec = make_scene_spec(seed=5, height=10, width=12, channels=7,
-                               num_classes=3)
+        spec = SceneSpec(seed=5, height=10, width=12, channels=7,
+                         num_classes=3)
         data, truth = gen_scene(spec)
         assert data.shape == (7, 10, 12)
         assert data.dtype == np.float64
@@ -89,8 +89,8 @@ class TestGenScene:
         assert truth.values.max() < 3
 
     def test_noiseless_scene_is_nearest_signature_classifiable(self):
-        spec = make_scene_spec(seed=6, height=12, width=12, channels=5,
-                               num_classes=2, blob_count=3, noise_sigma=0.0)
+        spec = SceneSpec(seed=6, height=12, width=12, channels=5,
+                         num_classes=2, blob_count=3, noise_sigma=0.0)
         data, truth = gen_scene(spec)
         assert truth.values.max() == 1, "fixture needs both classes present"
         np.testing.assert_array_equal(
@@ -99,10 +99,10 @@ class TestGenScene:
     def test_noise_stream_is_independent_of_blob_count(self):
         # Same seed, different geometry: the additive noise field must be
         # identical (recovered up to the rounding of one add/subtract pair).
-        a = make_scene_spec(seed=7, height=8, width=8, channels=3,
-                            blob_count=0, noise_sigma=1.0)
-        b = make_scene_spec(seed=7, height=8, width=8, channels=3,
-                            blob_count=4, noise_sigma=1.0)
+        a = SceneSpec(seed=7, height=8, width=8, channels=3,
+                      blob_count=0, noise_sigma=1.0)
+        b = SceneSpec(seed=7, height=8, width=8, channels=3,
+                      blob_count=4, noise_sigma=1.0)
         data_a, truth_a = gen_scene(a)
         data_b, truth_b = gen_scene(b)
         noise_a = data_a - a.signatures[truth_a.values].transpose(2, 0, 1)
@@ -110,22 +110,30 @@ class TestGenScene:
         np.testing.assert_allclose(noise_a, noise_b, rtol=0, atol=1e-12)
 
     def test_noise_moments(self):
-        spec = make_scene_spec(seed=8, height=64, width=64, channels=16,
-                               blob_count=0, noise_sigma=2.0)
+        spec = SceneSpec(seed=8, height=64, width=64, channels=16,
+                         blob_count=0, noise_sigma=2.0)
         data, _ = gen_scene(spec)
         noise = data - spec.signatures[0][:, None, None]
         assert abs(float(noise.mean())) < 0.05
         assert abs(float(noise.std()) - 2.0) < 0.05
 
+    def test_overflowing_noise_draw_rejected(self):
+        # sigma is finite, but a draw this wide is -inf in float64
+        spec = SceneSpec(seed=1, height=16, width=16, noise_sigma=1e308)
+        with pytest.raises(ValueError) as info:
+            gen_scene(spec)
+        assert str(info.value) == ("noise_sigma must give finite data, "
+                                   "got 1e+308")
+
     def test_different_seeds_differ(self):
-        d1, _ = gen_scene(make_scene_spec(seed=1, height=16, width=16))
-        d2, _ = gen_scene(make_scene_spec(seed=2, height=16, width=16))
+        d1, _ = gen_scene(SceneSpec(seed=1, height=16, width=16))
+        d2, _ = gen_scene(SceneSpec(seed=2, height=16, width=16))
         assert not np.array_equal(d1, d2)
 
     def test_default_scene_classes_are_nondegenerate(self):
         # The headline experiment's scene must expose every class with at
         # least 1% of pixels or the metric comparisons get vacuous.
-        data, truth = gen_scene(make_scene_spec(seed=1))
+        data, truth = gen_scene(SceneSpec(seed=1))
         total = truth.values.size
         for k in range(2):
             assert np.sum(truth.values == k) >= 0.01 * total

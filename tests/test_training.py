@@ -27,7 +27,6 @@ from stepseg.synth import (
     SceneSpec,
     augment,
     gen_scene,
-    make_scene_spec,
     read_class_map,
     sample_labels,
 )
@@ -50,9 +49,9 @@ from stepseg.training import (
 
 def tiny_problem(scene_seed=3, height=12, width=12, channels=3,
                  n_train=20, n_val=8, label_seed=5):
-    spec = make_scene_spec(seed=scene_seed, height=height, width=width,
-                           channels=channels, num_classes=2, blob_count=3,
-                           noise_sigma=0.6, signature_scale=1.0)
+    spec = SceneSpec(seed=scene_seed, height=height, width=width,
+                     channels=channels, num_classes=2, blob_count=3,
+                     noise_sigma=0.6, signature_scale=1.0)
     data, truth = gen_scene(spec)
     train_sel, val_sel = sample_labels(
         truth, LabelBudget(n_train, n_val, seed=label_seed))
@@ -191,8 +190,7 @@ class TestParseConfig:
         cfg = replace(cfg, width=2, steps=1, iterations=1)
         data, _, train_sel, val_sel = tiny_problem(height=8, width=8,
                                                    n_train=6, n_val=4)
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = train(cfg, data, train_sel, val_sel)
+        result = train(cfg, data, train_sel, val_sel)
         assert result.status in ("ok", "diverged")
 
 
@@ -391,8 +389,7 @@ class TestTrain:
     def test_divergence_aborts_with_last_finite_params(self):
         data, _, train_sel, val_sel = tiny_problem()
         cfg = tiny_config(iterations=40, lr0=10.0, alpha=100.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = train(cfg, data, train_sel, val_sel)
+        result = train(cfg, data, train_sel, val_sel)
         assert result.status == "diverged"
         assert len(result.history) < 40
         for stack in (result.params.lift, *result.params.layers,
