@@ -22,15 +22,15 @@ Only the current multiplier pair is alive at any point in the sweep;
 alpha enters the recursion solely through the terminal cotangent. The
 sweep reads y_{j-1} and a_j = f(K_j y_{j-1}) from ForwardTrace.reverse_steps,
 which replays the states between the trace's checkpoints, and f' from a_j, so
-it recomputes no convolution and no activation. The trace lets go of each a_j
-and each checkpoint as the sweep reaches it, and the weighted cotangent
-f'(z_j) * p_j is formed in a_j's own buffer, so the sweep holds less than
-the trace it started from: at n = 10 a gradient peaks at about 16 fields of
-(width, H, W), one above the forward pass's own 15.
+it recomputes no convolution and no activation. The sweep spends the trace as
+reverse_steps says, so it holds less than the trace it started from: at
+n = 10, width 32, on a 3-band 64x64 scene, tracemalloc measures a gradient's
+peak at 17.49 fields of (width, H, W) and a forward pass's at 15.14.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -115,13 +115,11 @@ def backward(trace: ForwardTrace, terminal: AdjointState,
     """Run the multiplier recursion, collecting all parameter gradients.
 
     The kernels are the ones that produced the trace, and the states come
-    from trace.reverse_steps, which replays them between checkpoints and
-    spends the trace: a second backward on it raises ValueError.
-    multiplier_hook, if given, is called as hook(j, p_j) for j = n down to
-    0; backward itself never retains more than the working pair, and
-    releases each step's weighted cotangent, which overwrites a_j, and
-    y_{j-1} before the next, so by hook(j - 1, p) a_j and every state
-    past y_{j-1} are gone.
+    from trace.reverse_steps, which spends the trace (see its spend rule):
+    a second backward on it raises ValueError. multiplier_hook, if given,
+    is called as hook(j, p_j) for j = n down to 0; backward itself keeps
+    only the working pair and drops each step's a_j and y_{j-1} before the
+    next, so by hook(j - 1, p) a_j and every state past y_{j-1} are gone.
     """
     params = trace.params
     n = len(params.layers)
@@ -155,8 +153,8 @@ def backward(trace: ForwardTrace, terminal: AdjointState,
 
 def gradient(params: NetworkParams, data: np.ndarray, q: SelectionSet,
              alpha: float) -> GradientBundle:
-    """forward, terminal_multiplier, backward in one call; the trace is
-    spent as the sweep reads it."""
+    """forward, terminal_multiplier, backward in one call; backward spends
+    the trace (see ForwardTrace.reverse_steps)."""
     trace = forward(params, data)
     return backward(trace, terminal_multiplier(trace, q, alpha))
 
@@ -179,32 +177,37 @@ def gradcheck(params: NetworkParams, data: np.ndarray, q: SelectionSet,
     Compares |adjoint - fd| / (|fd| + 1e-12), fd with step FD_STEP, over a
     seeded sample of num_coords parameter coordinates (all if None),
     numbered through lift, layers and project in turn. A non-finite
-    comparison makes the result NaN, so the check fails.
+    comparison makes the result NaN, so the check fails; so does an
+    evaluation that raises FloatingPointError, such as a loss that
+    overflows.
     """
     work = NetworkParams(lift=params.lift.copy(),
                          layers=tuple(k.copy() for k in params.layers),
                          project=params.project.copy(),
                          h=params.h, activation=params.activation)
-    # an overflow shows as a non-finite error, so numpy's warning is noise
+    # an overflow shows as a NaN result, so numpy's warning is noise
     with np.errstate(over="ignore", invalid="ignore"):
-        bundle = gradient(params, data, q, alpha)
-        stacks = zip((work.lift, *work.layers, work.project),
-                     (bundle.lift, *bundle.layers, bundle.project))
-        sites = [(k.reshape(-1), g.reshape(-1), i)
-                 for k, g in stacks for i in range(k.size)]
-        if num_coords is not None and num_coords < len(sites):
-            picks = np.random.default_rng(seed).choice(
-                len(sites), size=num_coords, replace=False)
-            sites = [sites[p] for p in picks]
-        errors = []
-        for flat, grad, i in sites:
-            orig = flat[i]
-            flat[i] = orig + FD_STEP
-            f_plus = objective_value(work, data, q, alpha)
-            flat[i] = orig - FD_STEP
-            f_minus = objective_value(work, data, q, alpha)
-            flat[i] = orig
-            fd = (f_plus - f_minus) / (2.0 * FD_STEP)
-            errors.append(abs(float(grad[i]) - fd) / (abs(fd) + 1e-12))
+        try:
+            bundle = gradient(params, data, q, alpha)
+            stacks = zip((work.lift, *work.layers, work.project),
+                         (bundle.lift, *bundle.layers, bundle.project))
+            sites = [(k.reshape(-1), g.reshape(-1), i)
+                     for k, g in stacks for i in range(k.size)]
+            if num_coords is not None and num_coords < len(sites):
+                picks = np.random.default_rng(seed).choice(
+                    len(sites), size=num_coords, replace=False)
+                sites = [sites[p] for p in picks]
+            errors = []
+            for flat, grad, i in sites:
+                orig = flat[i]
+                flat[i] = orig + FD_STEP
+                f_plus = objective_value(work, data, q, alpha)
+                flat[i] = orig - FD_STEP
+                f_minus = objective_value(work, data, q, alpha)
+                flat[i] = orig
+                fd = (f_plus - f_minus) / (2.0 * FD_STEP)
+                errors.append(abs(float(grad[i]) - fd) / (abs(fd) + 1e-12))
+        except FloatingPointError:
+            return math.nan
     # np.max, unlike max(), carries a NaN through
     return float(np.max(errors, initial=0.0))

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import astuple, fields
 from itertools import takewhile
 from pathlib import Path
 
@@ -25,11 +24,11 @@ from .synth import (
 from .tensor_ops import in_file
 from .training import (
     Dataset,
-    IterationLog,
     check_truth_classes,
     csv_text,
     init_params,
     evaluate,
+    history_csv,
     load_dataset,
     load_scene,
     parse_config,
@@ -159,9 +158,7 @@ def _cmd_train(args) -> int:
     with _out_dir(args.out) as out:
         result = train(config, dataset.data, dataset.train, dataset.val)
         save_params(out / "params", result.params)
-        (out / "history.csv").write_text(csv_text(
-            [f.name for f in fields(IterationLog)],
-            map(astuple, result.history)))
+        (out / "history.csv").write_text(history_csv(result.history))
         (out / "status.txt").write_text(result.status + "\n")
     if result.history:
         print(f"finished {len(result.history)} iterations, status "

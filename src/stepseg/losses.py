@@ -7,6 +7,7 @@ over pixels the ground truth labels (id -1 marks unlabeled).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,7 +49,10 @@ def softmax_xent_matrix(logits: np.ndarray, labels: np.ndarray,
     """Loss and gradient with pixels as columns of a (num_classes, n) matrix.
 
     Returns (loss, grad) with grad = (softmax - onehot) / n, stabilized by
-    per-column max subtraction. Raises on n == 0 (mean undefined).
+    per-column max subtraction. Raises on n == 0 (mean undefined), and
+    FloatingPointError("nonfinite loss"), with no numpy warning, when the
+    loss is not finite, as when a label's logit lies further below its
+    column's max than float64 can hold.
     """
     if logits.ndim != 2:
         raise ValueError(f"logits must be 2-d (num_classes, n), got {logits.shape}")
@@ -61,13 +65,16 @@ def softmax_xent_matrix(logits: np.ndarray, labels: np.ndarray,
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ValueError("labels out of range")
 
-    shifted = logits - logits.max(axis=0, keepdims=True)
-    exp = np.exp(shifted)
-    total = exp.sum(axis=0, keepdims=True)
-    probs = exp / total
     cols = np.arange(count)
-    log_probs = shifted[labels, cols] - np.log(total[0, cols])
-    loss = -float(log_probs.sum()) / count
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = logits - logits.max(axis=0, keepdims=True)
+        exp = np.exp(shifted)
+        total = exp.sum(axis=0, keepdims=True)
+        probs = exp / total
+        log_probs = shifted[labels, cols] - np.log(total[0, cols])
+        loss = -float(log_probs.sum()) / count
+    if not math.isfinite(loss):
+        raise FloatingPointError("nonfinite loss")
 
     grad = probs
     grad[labels, cols] -= 1.0

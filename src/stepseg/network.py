@@ -12,9 +12,8 @@ activation. The multiplier sweep needs every state, but the trace keeps only
 the checkpoints y_0, y_k, y_2k, ... and y_n (k = ceil(sqrt(n))) beside every
 activation a_j = f(K_j y_{j-1}). Since y_j = y_{j-1} - h a_j, reverse_steps
 replays the states between two checkpoints with forward's own elementwise
-step, bit for bit, with no convolution and no activation call. The sweep
-reads each a_j and each checkpoint once, so the trace lets go of each as
-the sweep passes it: a trace can be swept only once.
+step, bit for bit, with no convolution and no activation call, and spends
+the trace as it goes (see ForwardTrace.reverse_steps).
 """
 
 from __future__ import annotations
@@ -106,7 +105,7 @@ def _step(y_prev: np.ndarray, a: np.ndarray, h: float) -> np.ndarray:
     return np.subtract(y_prev, y, out=y)
 
 
-@dataclass(frozen=True)
+@dataclass
 class ForwardTrace:
     """Everything the backward sweep needs: the params that produced it,
     the input, the checkpointed states, every activation and the
@@ -114,9 +113,8 @@ class ForwardTrace:
 
     activations holds a_j = f(K_j y_{j-1}) for j = 1..n. states holds y_j for
     j = 0, k, 2k, ... and j = n, with k = ceil(sqrt(n)), so
-    states[-1] is always y_n. reverse_steps gives the states in between,
-    and spends the trace: it cuts both tuples to shorter prefixes as it
-    goes, so once swept they are empty (for n >= 1).
+    states[-1] is always y_n. reverse_steps gives the states in between
+    and spends the trace.
     """
 
     params: NetworkParams
@@ -128,16 +126,18 @@ class ForwardTrace:
     preacts = property(lambda self: self.activations)
 
     def reverse_steps(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Yield (j, y_{j-1}, a_j) for j = n down to 1.
+        """Yield (j, y_{j-1}, a_j) for j = n down to 1, spending the trace.
 
         Each segment between two checkpoints is replayed forward from its
         first checkpoint with forward's own step, so every y_{j-1} is
-        bitwise the state forward computed. The trace drops a segment's
-        checkpoints as its replay starts, and a_j before yielding it, so
-        the caller holds the only reference to what was yielded. At most
-        one segment of replayed states is alive, and each is released once
-        yielded. Raises ValueError here, not at the first step, if the
-        trace was swept before.
+        bitwise the state forward computed, and at most one segment of
+        replayed states is alive. The spend rule: a trace is swept once;
+        its first step takes states and activations, leaving both empty,
+        and the caller then holds the only reference to each a_j and
+        checkpoint, so each is freed after its one use, and a_j's buffer
+        may be overwritten (backward forms f'(z_j) * p_j in it). Raises
+        ValueError here, not at the first step, if the trace was swept
+        before.
         """
         n = len(self.params.layers)
         if len(self.activations) != n:
@@ -147,26 +147,17 @@ class ForwardTrace:
     def _spend(self, n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         k = _checkpoint_stride(n)
         h = self.params.h
-        for c in range(len(self.states) - 2, -1, -1):
-            start, stop = c * k, min(c * k + k, n)
-            segment = [self.states[c]]
-            object.__setattr__(self, "states", self.states[:c])
+        # y_n is not replayed; backward reads it before the first step
+        states, activations = list(self.states[:-1]), list(self.activations)
+        self.states = self.activations = ()
+        while states:
+            start = (len(states) - 1) * k
+            stop = min(start + k, n)
+            segment = [states.pop()]
             for j in range(start + 1, stop):
-                segment.append(_step(segment[-1], self.activations[j - 1], h))
+                segment.append(_step(segment[-1], activations[j - 1], h))
             for j in range(stop, start, -1):
-                yield j, segment.pop(), self._pop_activation()
-
-    def _pop_activation(self) -> np.ndarray:
-        """The last activation kept, a_j, which the trace drops.
-
-        A call, not a local of _spend, on purpose: a generator's locals
-        live while it is suspended at its yield, so a local holding a_j
-        would keep it alive after the caller let go of it, and the sweep
-        would no longer free each activation after its one use.
-        """
-        a = self.activations[-1]
-        object.__setattr__(self, "activations", self.activations[:-1])
-        return a
+                yield j, segment.pop(), activations.pop()
 
 
 def _check_finite(field: np.ndarray, where: str):

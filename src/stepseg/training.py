@@ -169,10 +169,10 @@ def train(config: TrainConfig, data: np.ndarray, train_labels: SelectionSet,
         is_eval = (it + 1) % config.eval_every == 0 or it == config.iterations - 1
         val_loss = val_miou = None
         try:
-            # forward reports its own overflow; one in the smoother value
-            # shows in the objective check, and one in the multiplier sweep
-            # or the SGD update makes params the next forward rejects, so
-            # numpy's warning is noise
+            # forward and the loss report their own overflow; one in the
+            # smoother value shows in the objective check, and one in the
+            # multiplier sweep or the SGD update makes params the next
+            # forward rejects, so numpy's warning is noise
             with np.errstate(over="ignore", invalid="ignore"):
                 grads = gradient(params, step_data, step_labels, config.alpha)
                 if not math.isfinite(grads.objective):
@@ -382,7 +382,18 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def records_csv(kind: type, records: Iterable) -> str:
+    """csv_text of dataclass records: kind's field names as the header, then
+    one row of field values per record, in the order given."""
+    return csv_text([f.name for f in fields(kind)], map(astuple, records))
+
+
+def history_csv(history: tuple[IterationLog, ...]) -> str:
+    """One row per IterationLog, its fields as columns, in iteration order."""
+    return records_csv(IterationLog, history)
+
+
 def sweep_csv(records: tuple[SweepRecord, ...]) -> str:
     """One row per SweepRecord, its fields as columns, sorted by (alpha, seed)."""
-    rows = sorted(records, key=lambda r: (r.alpha, r.seed))
-    return csv_text([f.name for f in fields(SweepRecord)], map(astuple, rows))
+    return records_csv(SweepRecord,
+                       sorted(records, key=lambda r: (r.alpha, r.seed)))

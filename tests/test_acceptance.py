@@ -6,6 +6,7 @@ share the expensive pieces (the default experiment scene and the two
 alpha sweeps, one serial and one on two worker processes).
 """
 
+import hashlib
 import os
 import statistics
 import subprocess
@@ -212,11 +213,14 @@ def test_criterion_5_regularized_sweep_rises_then_falls(first_sweep):
 
 def test_criterion_6_sweep_is_bitwise_deterministic(first_sweep, second_sweep):
     result, _ = first_sweep
-    ok = second_sweep == (sweep_csv(result.records).encode(),
-                          result.summary().encode())
-    record(6, ok, "a serial sweep and `stepseg sweep --jobs 2` wrote "
-                  "byte-identical sweep.csv and summary.txt" if ok
-                  else "sweep.csv or summary.txt differ between runs")
+    serial = (sweep_csv(result.records).encode(), result.summary().encode())
+    ok = second_sweep == serial
+    # two logs from one machine show whether a change kept these bytes
+    sha = [hashlib.sha256(text).hexdigest()[:16] for text in serial]
+    record(6, ok, ("a serial sweep and `stepseg sweep --jobs 2` wrote "
+                   "byte-identical sweep.csv and summary.txt" if ok
+                   else "sweep.csv or summary.txt differ between runs")
+           + f"; serial sha256 sweep.csv {sha[0]} summary.txt {sha[1]}")
 
 
 def test_criterion_7_oracle_equivalence():

@@ -53,6 +53,15 @@ class TestSoftmaxXent:
         assert math.isfinite(loss) and loss > 1e3
         assert np.all(np.isfinite(grad))
 
+    def test_logits_spanning_past_float64_raise(self):
+        # the shift of class 1 overflows to -inf: as the label its loss is
+        # not finite, and the loss says so itself, with no numpy warning
+        logits = np.array([[1e308], [-1e308]])
+        with pytest.raises(FloatingPointError, match="nonfinite loss"):
+            softmax_xent_matrix(logits, np.array([1]))
+        loss, grad = softmax_xent_matrix(logits, np.array([0]))
+        assert loss == 0.0 and np.all(np.isfinite(grad))
+
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_direct_formula(self, seed):
         rng = np.random.default_rng(seed)

@@ -35,6 +35,7 @@ from stepseg.training import (
     Dataset,
     SweepRecord,
     TrainConfig,
+    TrainResult,
     csv_text,
     evaluate,
     init_params,
@@ -514,6 +515,23 @@ class TestSweep:
             sweep(tiny_config(), [], [1], make_dataset())
         with pytest.raises(ValueError, match="alpha"):
             sweep(tiny_config(), [0.0], [], make_dataset())
+
+    def test_cell_whose_params_overflow_the_loss_is_diverged(self, monkeypatch):
+        # forward's output is a finite +-1e308 at every pixel, but a class 1
+        # pixel's loss is not finite, so scoring the cell raises
+        dataset = replace(make_dataset(), data=np.ones((3, 12, 12)))
+        params = NetworkParams(
+            lift=np.full((1, 3, 1, 1), 1 / 3), layers=(),
+            project=np.array([1e308, -1e308]).reshape(2, 1, 1, 1))
+
+        def untrained(config, data, train_labels, val_labels):
+            return TrainResult(params=params, history=(), status="ok")
+
+        monkeypatch.setattr(stepseg.training, "train", untrained)
+        (record,) = sweep(tiny_config(), [0.0], [1], dataset).records
+        assert record.status == "diverged"
+        assert all(map(math.isnan, (record.train_loss, record.val_miou,
+                                    record.test_miou)))
 
     def test_empty_val_rejected_before_any_cell(self, monkeypatch):
         # alpha* is chosen by validation mIoU, so no cell may run without it
