@@ -9,11 +9,13 @@ A network with n residual layers maps a (bands, H, W) field to a
 
 where K_j y denotes same-size zero-padded convolution and f is a pointwise
 activation. The multiplier sweep needs every state, but the trace keeps only
-the checkpoints y_0, y_k, y_2k, ... and y_n (k = ceil(sqrt(n))) beside every
-activation a_j = f(K_j y_{j-1}). Since y_j = y_{j-1} - h a_j, reverse_steps
-replays the states between two checkpoints with forward's own elementwise
-step, bit for bit, with no convolution and no activation call, and spends
-the trace as it goes (see ForwardTrace.reverse_steps).
+the checkpoints y_k, y_2k, ... and y_n (k = ceil(sqrt(n))) beside every
+activation a_j = f(K_j y_{j-1}) and the input. Since y_j = y_{j-1} - h a_j,
+reverse_steps replays the states between two checkpoints with forward's
+own elementwise step, bit for bit, with no activation call; the first
+segment starts from y_0 = L x, recomputed with forward's own lift, the one
+convolution the replay makes. It spends the trace as it goes (see
+ForwardTrace.reverse_steps).
 """
 
 from __future__ import annotations
@@ -112,9 +114,10 @@ class ForwardTrace:
     projected output.
 
     activations holds a_j = f(K_j y_{j-1}) for j = 1..n. states holds y_j for
-    j = 0, k, 2k, ... and j = n, with k = ceil(sqrt(n)), so
-    states[-1] is always y_n. reverse_steps gives the states in between
-    and spends the trace.
+    j = k, 2k, ... below n, and j = n, with k = ceil(sqrt(n)), so
+    states[-1] is always y_n; y_0 is not kept, since the lift of data
+    gives it again. reverse_steps gives the states in between and spends
+    the trace.
     """
 
     params: NetworkParams
@@ -129,8 +132,9 @@ class ForwardTrace:
         """Yield (j, y_{j-1}, a_j) for j = n down to 1, spending the trace.
 
         Each segment between two checkpoints is replayed forward from its
-        first checkpoint with forward's own step, so every y_{j-1} is
-        bitwise the state forward computed, and at most one segment of
+        first checkpoint with forward's own step, the first from y_0 by
+        forward's own lift, so every y_{j-1} is bitwise the state forward
+        computed, and at most one segment of
         replayed states is alive. The spend rule: a trace is swept once;
         its first step takes states and activations, leaving both empty,
         and the caller then holds the only reference to each a_j and
@@ -150,10 +154,10 @@ class ForwardTrace:
         # y_n is not replayed; backward reads it before the first step
         states, activations = list(self.states[:-1]), list(self.activations)
         self.states = self.activations = ()
-        while states:
-            start = (len(states) - 1) * k
+        for start in reversed(range(0, n, k)):
             stop = min(start + k, n)
-            segment = [states.pop()]
+            segment = [states.pop() if start
+                       else conv2d(self.data, self.params.lift)]
             for j in range(start + 1, stop):
                 segment.append(_step(segment[-1], activations[j - 1], h))
             for j in range(stop, start, -1):
@@ -184,7 +188,7 @@ def forward(params: NetworkParams, data: np.ndarray) -> ForwardTrace:
     with np.errstate(over="ignore", invalid="ignore"):
         y = conv2d(data, params.lift)
         _check_finite(y, "lift")
-        states = [y]
+        states = [] if n else [y]
         activations = []
         for j, kernel in enumerate(params.layers, start=1):
             a = conv2d(y, kernel)  # z_j, overwritten by a_j = f(z_j)

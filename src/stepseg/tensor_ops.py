@@ -15,13 +15,36 @@ leave conv2d's columns as they are, but move the last bits of the weight
 gradient's per-band partial sums. conv2d_adjoints feeds both adjoints from
 one gather of the cotangent. Each gather fills a zero-bordered slab with a
 band's rows plus halo and copies it through one sliding-window view into a
-band buffer of its own, freed when the gather ends.
+band buffer of its own.
+
+Band threads: a call whose kernel is wider than 1x1 and whose field has
+two bands or more deals them across _THREADS threads, the CPUs this
+process may run on: thread t takes bands t, t + T, t + 2T, ... The calling
+thread runs share 0 and a pool, made at the first such call, runs the
+rest, each in a copy of the caller's context (numpy's error state lives
+there). Band boundaries depend only on shapes, and each band's columns are
+written where a serial call writes them. The weight gradient's per-band
+parts are added in band order through a hand-off (_BandSum), so every
+result is the serial one bit for bit, at any thread count. Memory: the
+caller makes each share's band buffer, slab and part buffer, so a call
+holds one of each per thread beside its output, and the pool threads
+allocate no array. OpenBLAS is pinned to one thread before the first
+dealt call, since its own threads gain little at these GEMM sizes and
+compete with the band threads; without its thread setter every call stays
+serial.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -56,32 +79,165 @@ def as_kernel_stack(weights) -> np.ndarray:
 # gather and the GEMMs that read it
 _BAND_BYTES = 2**20
 
+# threads that deal a convolution's bands, read once: the CPUs this process
+# may run on (a sweep worker sets its share of them)
+_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_DEALING = threading.Lock()  # held by the one call whose bands are dealt
+_POOL = None  # (_THREADS it was made for, its executor of _THREADS - 1)
 
-def _patch_bands(x: np.ndarray, kh: int, kw: int):
-    """Yield (start, stop, cols) per band of whole output rows: pixels start:stop
-    and their zero-padded (C*kh*kw, stop - start) patch matrix, rows ordered
-    (c, a, b). Every band is gathered into one buffer that this gather
-    makes and frees, so cols is valid only until its next band."""
+
+def _band_rows(x: np.ndarray, kh: int, kw: int) -> int:
+    """Output rows per band: as many as _BAND_BYTES of patches hold, >= 1."""
+    channels, height, width = x.shape
+    return max(1, min(height, _BAND_BYTES // (channels * kh * kw * width * 8)))
+
+
+def _patch_bands(x: np.ndarray, kh: int, kw: int, share: int = 0,
+                 shares: int = 1):
+    """(start, stop, cols) for bands share, share + shares, ... of whole
+    output rows (all bands by default): pixels start:stop and their
+    zero-padded (C*kh*kw, stop - start) patch matrix, rows ordered (c, a, b).
+
+    This call makes the band buffer and the slab, and the returned iterator
+    gathers every band into that one buffer, so cols is valid only until
+    the next band, and a thread that iterates allocates no array.
+    """
     channels, height, width = x.shape
     if kh == 1 and kw == 1:
-        yield 0, height * width, x.reshape(channels, height * width)
-        return
+        return iter([(0, height * width, x.reshape(channels, height * width))])
     ph, pw = kh // 2, kw // 2
-    rows = max(1, min(height, _BAND_BYTES // (channels * kh * kw * width * 8)))
+    rows = _band_rows(x, kh, kw)
     band = np.empty(channels * kh * kw * rows * width)
     # slab row i holds field row r0 - ph + i; its border columns stay zero
     slab = np.zeros((channels, rows + 2 * ph, width + 2 * pw))
     windows = sliding_window_view(slab, (kh, kw), axis=(1, 2))
-    for r0 in range(0, height, rows):
-        r1 = min(r0 + rows, height)
-        top, bottom = max(0, ph - r0), min(r1 + ph, height) - r0 + ph
-        slab[:, :top] = 0.0
-        slab[:, top:bottom, pw:pw + width] = x[:, r0 - ph + top:r0 - ph + bottom]
-        slab[:, bottom:] = 0.0
-        cols = band[:channels * kh * kw * (r1 - r0) * width].reshape(
-            channels, kh, kw, r1 - r0, width)
-        np.copyto(cols, windows[:, :r1 - r0].transpose(0, 3, 4, 1, 2))
-        yield r0 * width, r1 * width, cols.reshape(channels * kh * kw, -1)
+
+    def gather():
+        for r0 in range(share * rows, height, shares * rows):
+            r1 = min(r0 + rows, height)
+            top, bottom = max(0, ph - r0), min(r1 + ph, height) - r0 + ph
+            slab[:, :top] = 0.0
+            slab[:, top:bottom, pw:pw + width] = x[:, r0 - ph + top:r0 - ph + bottom]
+            slab[:, bottom:] = 0.0
+            cols = band[:channels * kh * kw * (r1 - r0) * width].reshape(
+                channels, kh, kw, r1 - r0, width)
+            np.copyto(cols, windows[:, :r1 - r0].transpose(0, 3, 4, 1, 2))
+            yield r0 * width, r1 * width, cols.reshape(channels * kh * kw, -1)
+    return gather()
+
+
+@functools.cache
+def _blas_pinned() -> bool:
+    """Set numpy's bundled OpenBLAS to one thread; False if its thread
+    setter is not found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in libs.glob("libscipy_openblas*.so"):
+        try:
+            setter = getattr(ctypes.CDLL(str(lib)),
+                             "scipy_openblas_set_num_threads64_", None)
+        except OSError:
+            continue
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return True
+    return False
+
+
+def _shares(x: np.ndarray, kh: int, kw: int) -> int:
+    """Threads that deal x's bands: _THREADS, at most one per band; 1 for a
+    1x1 kernel, one band, or an OpenBLAS that cannot be pinned."""
+    if kh * kw == 1 or _THREADS < 2:
+        return 1
+    bands = -(-x.shape[1] // _band_rows(x, kh, kw))
+    return min(_THREADS, bands) if bands > 1 and _blas_pinned() else 1
+
+
+def _start_afresh():
+    """A forked child has none of its parent's pool threads, and a lock
+    another thread held stays held, so it starts without both."""
+    global _POOL, _DEALING
+    _POOL, _DEALING = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
+    os.register_at_fork(after_in_child=_start_afresh)
+
+
+def _pool() -> ThreadPoolExecutor:
+    global _POOL
+    if _POOL is None or _POOL[0] != _THREADS:
+        if _POOL is not None:
+            _POOL[1].shutdown(wait=False)
+        _POOL = (_THREADS, ThreadPoolExecutor(
+            _THREADS - 1, thread_name_prefix="stepseg-bands"))
+    return _POOL[1]
+
+
+def _deal(share, x: np.ndarray, kh: int, kw: int, *scratch: tuple):
+    """Call share(bands, *buffers) once per thread (_shares) and return once
+    every call has ended, raising the first failure.
+
+    Share t gets _patch_bands(x, kh, kw, t, shares) and one new array of each
+    shape in scratch, all made here, on the calling thread. Share 0 runs here;
+    the others run on the pool, each in a copy of this thread's context. A
+    call that finds another call's bands being dealt runs all its bands here.
+    """
+    shares = _shares(x, kh, kw)
+    if shares == 1 or not _DEALING.acquire(blocking=False):
+        share(_patch_bands(x, kh, kw), *map(np.empty, scratch))
+        return
+    try:
+        work = [(_patch_bands(x, kh, kw, t, shares), *map(np.empty, scratch))
+                for t in range(shares)]
+        pool = _pool()
+        futures = [pool.submit(contextvars.copy_context().run, share, *args)
+                   for args in work[1:]]
+        try:
+            share(*work[0])
+        finally:
+            # every share ends before the call does: each writes the output
+            errors = [future.exception() for future in futures]
+    finally:
+        _DEALING.release()
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+class _BandSum:
+    """The sum of per-band parts taken in band order, whichever thread holds
+    each band: add waits until every earlier band's part is in."""
+
+    def __init__(self, shape: tuple):
+        self.total = np.empty(shape)
+        self._summed = 0  # pixels whose bands' parts are in total
+        self._failed = False
+        self._turn = threading.Condition()
+
+    def add(self, part: np.ndarray, start: int, stop: int) -> bool:
+        """Add band start:stop's part after the bands before it; False, with
+        nothing added, once a share has failed."""
+        with self._turn:
+            self._turn.wait_for(lambda: self._summed == start or self._failed)
+            if self._failed:
+                return False
+            # the first part is assigned, not added to zeros, so one band
+            # keeps its bits
+            if start:
+                self.total += part
+            else:
+                np.copyto(self.total, part)
+            self._summed = stop
+            self._turn.notify_all()
+        return True
+
+    def fail(self):
+        """Release every share waiting in add."""
+        with self._turn:
+            self._failed = True
+            self._turn.notify_all()
 
 
 def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -93,8 +249,12 @@ def conv2d(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     height, width = x.shape[1], x.shape[2]
     weights = k.reshape(c_out, c_in * kh * kw)
     out = np.empty((c_out, height * width))
-    for start, stop, cols in _patch_bands(x, kh, kw):
-        np.matmul(weights, cols, out=out[:, start:stop])
+
+    def share(bands):
+        for start, stop, cols in bands:
+            np.matmul(weights, cols, out=out[:, start:stop])
+
+    _deal(share, x, kh, kw)
     return out.reshape(c_out, height, width)
 
 
@@ -118,7 +278,8 @@ def conv2d_adjoint_weights(cotangent: np.ndarray, x: np.ndarray,
 def conv2d_adjoints(cotangent: np.ndarray, x: np.ndarray, k: np.ndarray):
     """conv2d_adjoint_input(cotangent, k) and the gradient in k, from one
     gather of the cotangent's patches: per band cols, conv2d_adjoint_input's
-    GEMM and cols @ x_band.T, summed into the gradient at flipped offsets."""
+    GEMM and cols @ x_band.T, summed in band order into the gradient at
+    flipped offsets."""
     c_out, c_k, kh, kw = k.shape
     c_in, height, width = x.shape
     if cotangent.shape[1:] != (height, width):
@@ -128,15 +289,23 @@ def conv2d_adjoints(cotangent: np.ndarray, x: np.ndarray, k: np.ndarray):
     weights = _transposed(cotangent, k).reshape(c_k, c_out * kh * kw)
     flat = x.reshape(c_in, height * width)
     adjoint = np.empty((c_k, height * width))
-    grad = None
-    for start, stop, cols in _patch_bands(cotangent, kh, kw):
-        np.matmul(weights, cols, out=adjoint[:, start:stop])
-        part = cols @ flat[:, start:stop].T
-        # the first band is assigned, not added to zeros, so one band keeps its bits
-        grad = part if grad is None else grad + part
+    grad = _BandSum((c_out * kh * kw, c_in))
+
+    def share(bands, part):
+        try:
+            for start, stop, cols in bands:
+                np.matmul(weights, cols, out=adjoint[:, start:stop])
+                np.matmul(cols, flat[:, start:stop].T, out=part)
+                if not grad.add(part, start, stop):
+                    return
+        except BaseException:
+            grad.fail()
+            raise
+
+    _deal(share, cotangent, kh, kw, grad.total.shape)
     # row (o, a', b') pairs x with the cotangent's offset (kh-1-a', kw-1-b')
-    grad = grad.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1]
-    return adjoint.reshape(c_k, height, width), grad.transpose(0, 3, 1, 2)
+    total = grad.total.reshape(c_out, kh, kw, c_in)[:, ::-1, ::-1]
+    return adjoint.reshape(c_k, height, width), total.transpose(0, 3, 1, 2)
 
 
 def _transposed(cotangent: np.ndarray, k: np.ndarray) -> np.ndarray:

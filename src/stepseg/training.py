@@ -44,6 +44,7 @@ from .synth import (
     write_class_map,
     write_selection,
 )
+from . import tensor_ops
 from .tensor_ops import read_ftf, write_ftf
 
 _KERNEL_SIZE = 3
@@ -188,6 +189,8 @@ def train(config: TrainConfig, data: np.ndarray, train_labels: SelectionSet,
         history.append(IterationLog(
             iteration=it, lr=lr, loss=grads.loss, reg_value=grads.regularizer,
             objective=grads.objective, val_loss=val_loss, val_miou=val_miou))
+        # not held through the next gradient
+        del grads
     return TrainResult(params=params, history=tuple(history), status=status)
 
 
@@ -330,6 +333,12 @@ def _median_val_miou(records: tuple[SweepRecord, ...]) -> dict[float, float]:
     return {alpha: statistics.median(v) for alpha, v in by_alpha.items()}
 
 
+def _band_threads(count: int):
+    """Sweep worker initializer: deal each convolution's bands across count
+    threads."""
+    tensor_ops._THREADS = count
+
+
 def sweep(config: TrainConfig, alphas: list[float], seeds: list[int],
           dataset: Dataset, jobs: int = 1) -> SweepResult:
     """Independent training runs over the (alpha, seed) grid, recorded in
@@ -338,7 +347,9 @@ def sweep(config: TrainConfig, alphas: list[float], seeds: list[int],
     At most min(jobs, grid cells, CPU count) worker processes run at once.
     They are spawned, not forked, so that each one loads OpenBLAS afresh
     with OPENBLAS_NUM_THREADS = max(1, CPU count // workers) in its
-    environment, unless the caller has set that variable.
+    environment, unless the caller has set that variable, and each deals
+    its convolutions' bands across max(1, CPU count // workers) threads.
+    A serial sweep deals them across every CPU this process may run on.
     """
     if not alphas or not seeds:
         raise ValueError("need at least one alpha and one seed")
@@ -348,16 +359,18 @@ def sweep(config: TrainConfig, alphas: list[float], seeds: list[int],
     # each cell's test mIoU scores the truth with a model of the labels' classes
     check_truth_classes(dataset.truth, dataset.num_classes, "the labels hold")
     grid = [(alpha, seed) for alpha in sorted(alphas) for seed in sorted(seeds)]
-    workers = min(jobs, len(grid), os.cpu_count() or 1)
+    cpus = os.cpu_count() or 1
+    workers = min(jobs, len(grid), cpus)
     if workers > 1:
+        threads = max(1, cpus // workers)
         pinned = "OPENBLAS_NUM_THREADS" in os.environ
         if not pinned:
-            os.environ["OPENBLAS_NUM_THREADS"] = str(
-                max(1, (os.cpu_count() or 1) // workers))
+            os.environ["OPENBLAS_NUM_THREADS"] = str(threads)
         try:
             with ProcessPoolExecutor(
                     max_workers=workers,
-                    mp_context=multiprocessing.get_context("spawn")) as pool:
+                    mp_context=multiprocessing.get_context("spawn"),
+                    initializer=_band_threads, initargs=(threads,)) as pool:
                 records = list(pool.map(
                     _run_one, [config] * len(grid), [dataset] * len(grid),
                     [a for a, _ in grid], [s for _, s in grid]))

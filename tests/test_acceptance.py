@@ -76,8 +76,10 @@ def first_sweep(experiment_dataset):
 def second_sweep(experiment_dataset, tmp_path_factory):
     """sweep.csv and summary.txt of `stepseg sweep --jobs 2` on the same
     scene: a cell's result must not depend on the process that ran it. The
-    child pins one BLAS thread, which its spawned workers inherit, while the
-    serial sweep runs with the default thread count."""
+    child pins one BLAS thread, which its spawned workers inherit, and each
+    worker deals its convolutions' bands across CPU count // 2 threads (one
+    on a 2-CPU host), while the serial sweep deals them across every CPU in
+    this process's affinity set, so the thread count must move no bit."""
     root = tmp_path_factory.mktemp("second_sweep")
     save_dataset(root / "scene", experiment_dataset)
     (root / "empty.cfg").write_text("")

@@ -87,7 +87,8 @@ def test_trace_count_is_the_bytes_the_trace_holds(spans):
     held = (trace.data, trace.output, *trace.states, *trace.activations)
     assert spans._trace_counts((params, data), trace) == (
         sum(a.nbytes for a in held),)
-    assert len(trace.activations) == 5 and len(trace.states) == 3
+    # k = 3 keeps y_3 and y_5; the sweep recomputes y_0 from data
+    assert len(trace.activations) == 5 and len(trace.states) == 2
 
 
 def test_trace_count_is_taken_before_the_sweep_spends_the_trace(spans):

@@ -18,6 +18,7 @@ from stepseg.network import (
     scatter_into,
     select_matrix,
 )
+from stepseg import tensor_ops
 from stepseg.tensor_ops import activate, conv2d
 
 from oracles import argmax_direct, forward_steps_direct, inner
@@ -91,8 +92,9 @@ class TestForward:
         data = rng.standard_normal((3, 6, 5))
         trace = forward(params, data)
         assert isinstance(trace, ForwardTrace)
-        # k = 2 keeps y_0, y_2 and y_3; the accessor gives all four
-        assert len(trace.states) == 3
+        # k = 2 keeps y_2 and y_3, and the replay recomputes y_0 from
+        # data; the accessor gives all four
+        assert len(trace.states) == 2
         assert len(trace.activations) == 3
         assert trace.params is params
         assert trace.output.shape == (2, 6, 5)
@@ -201,6 +203,22 @@ class TestForward:
                                activation="relu")
         with pytest.raises(FloatingPointError, match="layer 0"):
             forward(params, np.ones((1, 2, 2)))
+
+    def test_overflow_in_a_dealt_band_is_reported(self, monkeypatch):
+        # at 64x64 and width 32 each 3x3 layer is ten bands, dealt across
+        # two threads; the pool's share runs in a copy of the caller's
+        # context, so forward's errstate covers its GEMMs too. A share run
+        # outside it would raise numpy's RuntimeWarning, under the suite's
+        # warnings-as-errors, in place of forward's report
+        monkeypatch.setattr(tensor_ops, "_THREADS", 2)
+        rng = np.random.default_rng(12)
+        params = random_params(rng, width=32, steps=2, scale=1e200,
+                               activation="relu")
+        data = rng.standard_normal((3, 64, 64))
+        assert tensor_ops._shares(np.empty((32, 64, 64)), 3, 3) == 2
+        with pytest.raises(FloatingPointError,
+                           match="nonfinite values after layer 0"):
+            forward(params, data)
 
     @pytest.mark.parametrize("caller", ["default", "raise"])
     @pytest.mark.parametrize("scale", [1.0, 1e200])

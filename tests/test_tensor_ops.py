@@ -1,6 +1,14 @@
 """Convolution core, adjoints, activations, and FTF1 file round trips."""
 
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,27 +299,31 @@ def test_live_band_generators_share_no_memory(monkeypatch):
 
 
 def test_convolution_allocates_only_its_output(monkeypatch):
-    # beyond its output, a 3x3 conv2d over ten bands allocates at most one
-    # band, one slab of a band's rows plus halo, and small objects (about
-    # 6 KiB of views measured); a padded copy of the field or the whole
-    # patch matrix is more than the slab plus that slack. Once a gather or
-    # a convolution returns, only the output is left: no band is kept
+    # beyond its output, a 3x3 conv2d over ten bands allocates, per thread
+    # that deals them, at most one band, one slab of a band's rows plus
+    # halo, and small objects (about 4 KiB of views and pool items measured
+    # per thread); a padded copy of the field or the whole patch matrix is
+    # more than the slab plus that slack. Once a gather or a convolution
+    # returns, only the output is left: no band is kept
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 40, 40))
     k = rng.standard_normal((4, 4, 3, 3))
     band, slab, slack = 4 * 9 * 4 * 40 * 8, 4 * 6 * 42 * 8, 16 * 2**10
     assert 4 * 42 * 42 * 8 > slab + slack and band > slack
     monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band)
-    tracemalloc.start()
-    try:
-        assert len(list(tensor_ops._patch_bands(x, 3, 3))) == 10
-        tracemalloc.reset_peak()
-        out = conv2d(x, k)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < out.nbytes + band + slab + slack
-    assert kept <= out.nbytes + slack
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(tensor_ops, "_THREADS", threads)
+        conv2d(x, k)  # the pool and its threads are made once, not per call
+        tracemalloc.start()
+        try:
+            assert len(list(tensor_ops._patch_bands(x, 3, 3))) == 10
+            tracemalloc.reset_peak()
+            out = conv2d(x, k)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + threads * (band + slab + slack), threads
+        assert kept <= out.nbytes + slack, threads
 
 
 def test_bands_stay_in_l2_from_one_window_view(monkeypatch, band_bytes):
@@ -340,6 +352,172 @@ def test_bands_stay_in_l2_from_one_window_view(monkeypatch, band_bytes):
             assert len(sizes) == 10
         [(_, _, cols)] = tensor_ops._patch_bands(x, 1, 1)
         assert np.shares_memory(cols, x)
+
+
+# field shape and _BAND_BYTES -> band rows of a 3x3 gather of it: one band;
+# four bands of 3 rows; and bands of 3 rows with a short last one of 2
+DEALT = {"one_band": ((4, 11, 7), 2**62, [11]),
+         "four_bands": ((4, 12, 7), 3 * 4 * 9 * 7 * 8, [3] * 4),
+         "short_last": ((4, 11, 7), 3 * 4 * 9 * 7 * 8, [3, 3, 3, 2])}
+
+
+class TestBandThreads:
+    @pytest.mark.parametrize("case", sorted(DEALT))
+    @pytest.mark.parametrize("kh,kw", [(3, 3), (5, 5), (3, 1), (1, 1)])
+    def test_kernels_keep_their_bits_at_every_thread_count(
+            self, monkeypatch, case, kh, kw):
+        shape, band_bytes, rows = DEALT[case]
+        monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band_bytes)
+        rng = np.random.default_rng(9)
+        x, u = rng.standard_normal(shape), rng.standard_normal(shape)
+        k = rng.standard_normal((4, 4, kh, kw))
+        if (kh, kw) == (3, 3):
+            assert [(stop - start) // 7 for start, stop, _ in
+                    tensor_ops._patch_bands(x, kh, kw)] == rows
+        bands = len(list(tensor_ops._patch_bands(x, kh, kw)))
+        results = {}
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(tensor_ops, "_THREADS", threads)
+            # a 1x1 kernel or a single band stays on the calling thread
+            assert tensor_ops._shares(x, kh, kw) == (
+                1 if kh * kw == 1 else min(threads, bands))
+            results[threads] = (conv2d(x, k), *conv2d_adjoints(u, x, k))
+        for threads in (2, 3):
+            for got, want in zip(results[threads], results[1], strict=True):
+                np.testing.assert_array_equal(got, want)
+
+    def test_dealt_bands_tile_the_patch_matrix(self, monkeypatch):
+        # share t gathers bands t, t + T, ...: together, every band once
+        shape, band_bytes, _ = DEALT["short_last"]
+        monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band_bytes)
+        x = np.random.default_rng(2).standard_normal(shape)
+        whole = [(start, stop, cols.copy())
+                 for start, stop, cols in tensor_ops._patch_bands(x, 3, 3)]
+        for shares in (2, 3):
+            dealt = {}
+            for t in range(shares):
+                for start, stop, cols in tensor_ops._patch_bands(
+                        x, 3, 3, t, shares):
+                    dealt[start] = (start, stop, cols.copy())
+            assert sorted(dealt) == [start for start, _, _ in whole]
+            for start, stop, cols in whole:
+                assert dealt[start][1] == stop
+                np.testing.assert_array_equal(dealt[start][2], cols)
+
+    def test_a_failing_share_ends_the_call_and_blocks_no_thread(
+            self, monkeypatch):
+        # bands of rows 0-3, 4-7 and 8-11: share 1 takes band 1, whose
+        # interior rows 5 and 6 overflow its GEMM; share 0's bands 0 and 2
+        # reach rows 4 and 7 only. Under the caller's errstate, which the
+        # share runs in, share 1 raises; share 0, waiting at the band-order
+        # hand-off to add band 2, must be released
+        monkeypatch.setattr(tensor_ops, "_THREADS", 2)
+        monkeypatch.setattr(tensor_ops, "_BAND_BYTES", 4 * 2 * 9 * 5 * 8)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 12, 5))
+        u = rng.standard_normal((2, 12, 5))
+        k = 10.0 * rng.standard_normal((2, 2, 3, 3))
+        assert tensor_ops._shares(u, 3, 3) == 2
+        u[:, 5:7] = 1e308
+        outcome = []
+
+        def call():
+            try:
+                with np.errstate(over="raise"):
+                    conv2d_adjoints(u, x, k)
+            except FloatingPointError as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=call)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(outcome) == 1 and "overflow" in str(outcome[0])
+        assert not tensor_ops._DEALING.locked()
+        # the pool is free again: the next call is dealt and keeps its bits
+        u[:, 5:7] = 0.0
+        got = conv2d_adjoints(u, x, k)
+        monkeypatch.setattr(tensor_ops, "_THREADS", 1)
+        for a, b in zip(got, conv2d_adjoints(u, x, k), strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    def test_concurrent_callers_keep_their_bits(self, monkeypatch):
+        # more calling threads than cores, switching often: one call deals
+        # its bands at a time, the others run theirs on their own thread,
+        # and every result is the serial one
+        shape, band_bytes, _ = DEALT["short_last"]
+        monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band_bytes)
+        monkeypatch.setattr(tensor_ops, "_THREADS", 1)
+        rng = np.random.default_rng(4)
+        operands = [(rng.standard_normal(shape), rng.standard_normal(shape),
+                     rng.standard_normal((4, 4, 3, 3))) for _ in range(6)]
+        want = [(conv2d(x, k), *conv2d_adjoints(u, x, k))
+                for x, u, k in operands]
+        monkeypatch.setattr(tensor_ops, "_THREADS", 3)
+        wrong = []
+
+        def worker(i):
+            x, u, k = operands[i]
+            for _ in range(20):
+                got = (conv2d(x, k), *conv2d_adjoints(u, x, k))
+                if not all(np.array_equal(a, b) for a, b in zip(got, want[i])):
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(len(operands))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_a_forked_child_deals_its_own_bands(self, monkeypatch):
+        # the parent's pool threads do not exist in a forked child; a child
+        # that submitted to that pool would wait for them forever
+        shape, band_bytes, _ = DEALT["short_last"]
+        monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band_bytes)
+        monkeypatch.setattr(tensor_ops, "_THREADS", 2)
+        rng = np.random.default_rng(7)
+        x, u = rng.standard_normal(shape), rng.standard_normal(shape)
+        k = rng.standard_normal((4, 4, 3, 3))
+        want = conv2d_adjoints(u, x, k)
+        assert tensor_ops._POOL is not None
+        with warnings.catch_warnings():
+            # Python 3.12 warns on fork in a process with threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                got = conv2d_adjoints(u, x, k)
+                code = 0 if all(np.array_equal(a, b)
+                                for a, b in zip(got, want)) else 1
+            finally:
+                os._exit(code)
+        for _ in range(600):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.1)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done and os.waitstatus_to_exitcode(status) == 0
+
+    def test_import_starts_no_thread(self):
+        root = str(Path(tensor_ops.__file__).resolve().parents[1])
+        code = (f"import sys; sys.path.insert(0, {root!r}); "
+                "import threading, stepseg.cli, stepseg.tensor_ops as t; "
+                "print(threading.active_count(), t._POOL)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["1", "None"]
 
 
 class TestActivations:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stepseg.training
+from stepseg import tensor_ops
 from stepseg.adjoint import gradient
 from stepseg.cli import EXIT_OK, main
 from stepseg.losses import UNLABELED, ClassMap, iou
@@ -38,6 +39,7 @@ from stepseg.training import (
     TrainResult,
     csv_text,
     evaluate,
+    history_csv,
     init_params,
     load_dataset,
     parse_config,
@@ -286,6 +288,36 @@ class TestInitParams:
         a = init_params(3, 2, 4, 1, "tanh", 1.0, seed=0)
         b = init_params(3, 2, 4, 1, "tanh", 1.0, seed=1)
         assert not np.array_equal(a.lift, b.lift)
+
+
+class TestBandThreads:
+    # 3x3 bands of a (6, 20, 20) field: one; or seven of 3 rows, the last 2
+    @pytest.mark.parametrize("band_bytes", [2**62, 3 * 6 * 9 * 20 * 8])
+    def test_gradient_and_train_keep_their_bits_at_every_thread_count(
+            self, monkeypatch, band_bytes):
+        monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band_bytes)
+        data, _, train_sel, val_sel = tiny_problem(height=20, width=20)
+        config = tiny_config(iterations=5, width=6, steps=3, alpha=1e-3)
+        params = init_params(bands=3, num_classes=2, width=6, steps=3,
+                             activation="tanh", h=1.0, seed=2)
+        bands = len(list(tensor_ops._patch_bands(
+            np.empty((6, 20, 20)), 3, 3)))
+        assert bands == (1 if band_bytes == 2**62 else 7)
+        runs = {}
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(tensor_ops, "_THREADS", threads)
+            bundle = gradient(params, data, train_sel, 1e-3)
+            result = train(config, data, train_sel, val_sel)
+            assert result.status == "ok" and len(result.history) == 5
+            runs[threads] = (
+                [bundle.lift, *bundle.layers, bundle.project,
+                 result.params.lift, *result.params.layers,
+                 result.params.project],
+                (bundle.loss, bundle.regularizer, history_csv(result.history)))
+        for threads in (2, 3):
+            for got, want in zip(runs[threads][0], runs[1][0], strict=True):
+                np.testing.assert_array_equal(got, want)
+            assert runs[threads][1] == runs[1][1]
 
 
 class TestTrain:
@@ -602,15 +634,19 @@ class TestSweep:
             "diverged=2/2\n")
 
     def test_jobs_clamped_to_cells_and_cpus(self, monkeypatch):
-        # a stand-in executor records max_workers, the start method and the
-        # BLAS thread count its workers would inherit, and runs the cells
-        # inline, so no worker process is ever started
+        # a stand-in executor records max_workers, the start method, the
+        # BLAS thread count its workers would inherit and the band thread
+        # count its initializer gives them, and runs the cells inline, so
+        # no worker process is ever started
         started = []
 
         class InlinePool:
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers, mp_context, initializer,
+                         initargs):
+                assert initializer is stepseg.training._band_threads
                 started.append((max_workers, mp_context.get_start_method(),
-                                os.environ.get("OPENBLAS_NUM_THREADS")))
+                                os.environ.get("OPENBLAS_NUM_THREADS"),
+                                *initargs))
 
             def __enter__(self):
                 return self
@@ -644,16 +680,20 @@ class TestSweep:
             started.clear()
             cpus[0] = cpu
             result = sweep(tiny_config(), alphas, seeds, dataset, jobs=jobs)
-            assert started == ([] if want is None
-                               else [(want[0], "spawn", want[1])])
+            assert started == ([] if want is None else
+                               [(want[0], "spawn", want[1], int(want[1]))])
             assert len(result.records) == len(alphas) * len(seeds)
             assert "OPENBLAS_NUM_THREADS" not in os.environ
         # a thread count the caller set is passed on as it is, and kept
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
         started.clear()
         sweep(tiny_config(), [0.0, 0.1], [1], dataset, jobs=2)
-        assert started == [(2, "spawn", "3")]
+        assert started == [(2, "spawn", "3", 2)]
         assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+        # the initializer sets the worker's band thread count
+        monkeypatch.setattr(stepseg.tensor_ops, "_THREADS", 1)
+        stepseg.training._band_threads(3)
+        assert stepseg.tensor_ops._THREADS == 3
 
     def test_parallel_equals_sequential(self):
         cfg = tiny_config(iterations=2)
