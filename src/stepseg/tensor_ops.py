@@ -17,11 +17,12 @@ one gather of the cotangent. Each gather fills a zero-bordered slab with a
 band's rows plus halo and copies it through one sliding-window view into a
 band buffer of its own.
 
-Band threads: a call whose kernel is wider than 1x1 and whose field has
-two bands or more deals them across _THREADS threads, the CPUs this
-process may run on: thread t takes bands t, t + T, t + 2T, ... The calling
-thread runs share 0 and a pool, made at the first such call, runs the
-rest, each in a copy of the caller's context (numpy's error state lives
+Band threads: a call whose kernel is wider than 1x1 and whose field has two
+bands or more deals them across _THREADS threads, the run's one CPU count
+(its affinity set's size, which training.sweep splits among its workers
+through _band_threads): thread t takes bands t, t + T, t + 2T, ... The
+calling thread runs share 0 and a pool, made at the first such call, runs
+the rest, each in a copy of the caller's context (numpy's error state lives
 there). Band boundaries depend only on shapes, and each band's columns are
 written where a serial call writes them. The weight gradient's per-band
 parts are added in band order through a hand-off (_BandSum), so every
@@ -80,11 +81,16 @@ def as_kernel_stack(weights) -> np.ndarray:
 _BAND_BYTES = 2**20
 
 # threads that deal a convolution's bands, read once: the CPUs this process
-# may run on (a sweep worker sets its share of them)
+# may run on, which training.sweep splits among its workers
 _THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 _DEALING = threading.Lock()  # held by the one call whose bands are dealt
-_POOL = None  # (_THREADS it was made for, its executor of _THREADS - 1)
+
+
+def _band_threads(count: int):
+    """Sweep worker initializer: the worker's share of _THREADS."""
+    global _THREADS
+    _THREADS = count
 
 
 def _band_rows(x: np.ndarray, kh: int, kw: int) -> int:
@@ -154,25 +160,23 @@ def _shares(x: np.ndarray, kh: int, kw: int) -> int:
     return min(_THREADS, bands) if bands > 1 and _blas_pinned() else 1
 
 
+@functools.cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """threads - 1 threads, one per share but the caller's, so no _BandSum
+    share waits for a thread; made once per count, as _DEALING is held."""
+    return ThreadPoolExecutor(threads - 1, thread_name_prefix="stepseg-bands")
+
+
 def _start_afresh():
     """A forked child has none of its parent's pool threads, and a lock
     another thread held stays held, so it starts without both."""
-    global _POOL, _DEALING
-    _POOL, _DEALING = None, threading.Lock()
+    global _DEALING
+    _pool.cache_clear()
+    _DEALING = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
     os.register_at_fork(after_in_child=_start_afresh)
-
-
-def _pool() -> ThreadPoolExecutor:
-    global _POOL
-    if _POOL is None or _POOL[0] != _THREADS:
-        if _POOL is not None:
-            _POOL[1].shutdown(wait=False)
-        _POOL = (_THREADS, ThreadPoolExecutor(
-            _THREADS - 1, thread_name_prefix="stepseg-bands"))
-    return _POOL[1]
 
 
 def _deal(share, x: np.ndarray, kh: int, kw: int, *scratch: tuple):
@@ -191,7 +195,7 @@ def _deal(share, x: np.ndarray, kh: int, kw: int, *scratch: tuple):
     try:
         work = [(_patch_bands(x, kh, kw, t, shares), *map(np.empty, scratch))
                 for t in range(shares)]
-        pool = _pool()
+        pool = _pool(_THREADS)
         futures = [pool.submit(contextvars.copy_context().run, share, *args)
                    for args in work[1:]]
         try:

@@ -333,23 +333,17 @@ def _median_val_miou(records: tuple[SweepRecord, ...]) -> dict[float, float]:
     return {alpha: statistics.median(v) for alpha, v in by_alpha.items()}
 
 
-def _band_threads(count: int):
-    """Sweep worker initializer: deal each convolution's bands across count
-    threads."""
-    tensor_ops._THREADS = count
-
-
 def sweep(config: TrainConfig, alphas: list[float], seeds: list[int],
           dataset: Dataset, jobs: int = 1) -> SweepResult:
     """Independent training runs over the (alpha, seed) grid, recorded in
     (alpha, seed) order: the grid is built sorted and pool.map keeps it.
 
-    At most min(jobs, grid cells, CPU count) worker processes run at once.
-    They are spawned, not forked, so that each one loads OpenBLAS afresh
-    with OPENBLAS_NUM_THREADS = max(1, CPU count // workers) in its
-    environment, unless the caller has set that variable, and each deals
-    its convolutions' bands across max(1, CPU count // workers) threads.
-    A serial sweep deals them across every CPU this process may run on.
+    At most min(jobs, grid cells, CPUs) worker processes run at once, CPUs
+    being tensor_ops._THREADS, the CPUs this process may run on. They are
+    spawned, not forked, so that each one loads OpenBLAS afresh with
+    OPENBLAS_NUM_THREADS = CPUs // workers in its environment, unless the
+    caller has set that variable, and each deals its convolutions' bands
+    across CPUs // workers threads. A serial sweep deals them across all.
     """
     if not alphas or not seeds:
         raise ValueError("need at least one alpha and one seed")
@@ -359,10 +353,9 @@ def sweep(config: TrainConfig, alphas: list[float], seeds: list[int],
     # each cell's test mIoU scores the truth with a model of the labels' classes
     check_truth_classes(dataset.truth, dataset.num_classes, "the labels hold")
     grid = [(alpha, seed) for alpha in sorted(alphas) for seed in sorted(seeds)]
-    cpus = os.cpu_count() or 1
-    workers = min(jobs, len(grid), cpus)
+    workers = min(jobs, len(grid), tensor_ops._THREADS)
     if workers > 1:
-        threads = max(1, cpus // workers)
+        threads = tensor_ops._THREADS // workers
         pinned = "OPENBLAS_NUM_THREADS" in os.environ
         if not pinned:
             os.environ["OPENBLAS_NUM_THREADS"] = str(threads)
@@ -370,7 +363,8 @@ def sweep(config: TrainConfig, alphas: list[float], seeds: list[int],
             with ProcessPoolExecutor(
                     max_workers=workers,
                     mp_context=multiprocessing.get_context("spawn"),
-                    initializer=_band_threads, initargs=(threads,)) as pool:
+                    initializer=tensor_ops._band_threads,
+                    initargs=(threads,)) as pool:
                 records = list(pool.map(
                     _run_one, [config] * len(grid), [dataset] * len(grid),
                     [a for a, _ in grid], [s for _, s in grid]))

@@ -76,10 +76,12 @@ def first_sweep(experiment_dataset):
 def second_sweep(experiment_dataset, tmp_path_factory):
     """sweep.csv and summary.txt of `stepseg sweep --jobs 2` on the same
     scene: a cell's result must not depend on the process that ran it. The
-    child pins one BLAS thread, which its spawned workers inherit, and each
-    worker deals its convolutions' bands across CPU count // 2 threads (one
-    on a 2-CPU host), while the serial sweep deals them across every CPU in
-    this process's affinity set, so the thread count must move no bit."""
+    child inherits this process's affinity set of CPUs = tensor_ops._THREADS
+    and starts min(2, CPUs) workers; with one CPU it runs serially, and two
+    serial sweeps are compared. It pins one BLAS thread, which its spawned
+    workers inherit, and each worker deals its convolutions' bands across
+    CPUs // 2 threads (one on a 2-CPU host), while the serial sweep deals
+    them across all CPUs, so the thread count must move no bit."""
     root = tmp_path_factory.mktemp("second_sweep")
     save_dataset(root / "scene", experiment_dataset)
     (root / "empty.cfg").write_text("")
@@ -219,9 +221,12 @@ def test_criterion_6_sweep_is_bitwise_deterministic(first_sweep, second_sweep):
     ok = second_sweep == serial
     # two logs from one machine show whether a change kept these bytes
     sha = [hashlib.sha256(text).hexdigest()[:16] for text in serial]
+    # the workers `--jobs 2` could start: one means it ran serially too
+    workers = min(2, stepseg.tensor_ops._THREADS)
     record(6, ok, ("a serial sweep and `stepseg sweep --jobs 2` wrote "
                    "byte-identical sweep.csv and summary.txt" if ok
                    else "sweep.csv or summary.txt differ between runs")
+           + f"; --jobs 2 worker processes {workers}"
            + f"; serial sha256 sweep.csv {sha[0]} summary.txt {sha[1]}")
 
 

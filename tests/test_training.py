@@ -643,7 +643,7 @@ class TestSweep:
         class InlinePool:
             def __init__(self, max_workers, mp_context, initializer,
                          initargs):
-                assert initializer is stepseg.training._band_threads
+                assert initializer is stepseg.tensor_ops._band_threads
                 started.append((max_workers, mp_context.get_start_method(),
                                 os.environ.get("OPENBLAS_NUM_THREADS"),
                                 *initargs))
@@ -664,21 +664,27 @@ class TestSweep:
         monkeypatch.setattr(stepseg.training, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(stepseg.training, "_run_one", fake_run)
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        cpus = [4]
+        # the host's CPU count, which the sweep must not read: only the
+        # affinity set, tensor_ops._THREADS, bounds and splits the workers
+        host = [4]
         dataset = make_dataset()
-        monkeypatch.setattr(stepseg.training.os, "cpu_count", lambda: cpus[0])
-        cases = [  # (jobs, alphas, seeds, cpu count) -> (workers, threads)
-            ((1000, [0.0, 0.1, 0.2], [1], 4), (3, "1")),
-            ((1000, [0.0, 0.1, 0.2], [1, 2], 4), (4, "1")),
-            ((2, [0.0, 0.1, 0.2], [1, 2], 4), (2, "2")),
-            ((3, [0.0, 0.1, 0.2], [1, 2], 8), (3, "2")),
-            ((1000, [0.0, 0.1], [1, 2], None), None),
-            ((1, [0.0, 0.1], [1, 2], 4), None),
-            ((1000, [0.0], [1], 4), None),
+        monkeypatch.setattr(os, "cpu_count", lambda: host[0])
+        cases = [  # (jobs, alphas, seeds, affinity, host) -> (workers, threads)
+            ((1000, [0.0, 0.1, 0.2], [1], 4, 4), (3, "1")),
+            ((1000, [0.0, 0.1, 0.2], [1, 2], 4, 4), (4, "1")),
+            ((2, [0.0, 0.1, 0.2], [1, 2], 4, 4), (2, "2")),
+            ((3, [0.0, 0.1, 0.2], [1, 2], 8, 8), (3, "2")),
+            ((1000, [0.0, 0.1], [1, 2], 2, None), (2, "1")),
+            ((1, [0.0, 0.1], [1, 2], 4, 4), None),
+            ((1000, [0.0], [1], 4, 4), None),
+            # an affinity set smaller than the host
+            ((1000, [0.0, 0.1], [1, 2], 1, 4), None),
+            ((3, [0.0, 0.1, 0.2], [1, 2], 2, 8), (2, "1")),
         ]
-        for (jobs, alphas, seeds, cpu), want in cases:
+        for (jobs, alphas, seeds, affinity, host_cpus), want in cases:
             started.clear()
-            cpus[0] = cpu
+            monkeypatch.setattr(stepseg.tensor_ops, "_THREADS", affinity)
+            host[0] = host_cpus
             result = sweep(tiny_config(), alphas, seeds, dataset, jobs=jobs)
             assert started == ([] if want is None else
                                [(want[0], "spawn", want[1], int(want[1]))])
@@ -686,13 +692,14 @@ class TestSweep:
             assert "OPENBLAS_NUM_THREADS" not in os.environ
         # a thread count the caller set is passed on as it is, and kept
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.setattr(stepseg.tensor_ops, "_THREADS", 4)
         started.clear()
         sweep(tiny_config(), [0.0, 0.1], [1], dataset, jobs=2)
         assert started == [(2, "spawn", "3", 2)]
         assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
         # the initializer sets the worker's band thread count
         monkeypatch.setattr(stepseg.tensor_ops, "_THREADS", 1)
-        stepseg.training._band_threads(3)
+        stepseg.tensor_ops._band_threads(3)
         assert stepseg.tensor_ops._THREADS == 3
 
     def test_parallel_equals_sequential(self):
