@@ -21,18 +21,19 @@ Band threads: a call whose kernel is wider than 1x1 and whose field has two
 bands or more deals them across _THREADS threads, the run's one CPU count
 (its affinity set's size, which training.sweep splits among its workers
 through _band_threads): thread t takes bands t, t + T, t + 2T, ... The
-calling thread runs share 0 and a pool, made at the first such call, runs
-the rest, each in a copy of the caller's context (numpy's error state lives
-there). Band boundaries depend only on shapes, and each band's columns are
-written where a serial call writes them. The weight gradient's per-band
-parts are added in band order through a hand-off (_BandSum), so every
-result is the serial one bit for bit, at any thread count. Memory: the
-caller makes each share's band buffer, slab and part buffer, so a call
-holds one of each per thread beside its output, and the pool threads
-allocate no array. OpenBLAS is pinned to one thread before the first
-dealt call, since its own threads gain little at these GEMM sizes and
-compete with the band threads; without its thread setter every call stays
-serial.
+calling thread runs share 0 and a pool runs the rest, each in a copy of the
+caller's context (numpy's error state lives there). A process finds its
+pool, made at its first such call, by its pid. One call deals at a time;
+a call made meanwhile waits for it to end. Band boundaries depend only on
+shapes, and each band's columns are written where a serial call writes
+them. The weight gradient's per-band parts are added in band order through
+a hand-off (_BandSum), so every result is the serial one bit for bit, at
+any thread count. Memory: the caller makes each share's band buffer, slab
+and part buffer, so a call holds one of each per thread beside its output,
+and the pool threads allocate no array. OpenBLAS is pinned to one thread
+before the first dealt call, since its own threads gain little at these
+GEMM sizes and compete with the band threads; without its thread setter
+every call stays serial.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ _BAND_BYTES = 2**20
 # may run on, which training.sweep splits among its workers
 _THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-_DEALING = threading.Lock()  # held by the one call whose bands are dealt
 
 
 def _band_threads(count: int):
@@ -161,22 +161,14 @@ def _shares(x: np.ndarray, kh: int, kw: int) -> int:
 
 
 @functools.cache
-def _pool(threads: int) -> ThreadPoolExecutor:
-    """threads - 1 threads, one per share but the caller's, so no _BandSum
-    share waits for a thread; made once per count, as _DEALING is held."""
-    return ThreadPoolExecutor(threads - 1, thread_name_prefix="stepseg-bands")
-
-
-def _start_afresh():
-    """A forked child has none of its parent's pool threads, and a lock
-    another thread held stays held, so it starts without both."""
-    global _DEALING
-    _pool.cache_clear()
-    _DEALING = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # no fork, and no hook, on Windows
-    os.register_at_fork(after_in_child=_start_afresh)
+def _band_pool(threads: int, pid: int):
+    """(pool, lock) of process pid: threads - 1 pool threads, one per share
+    but the caller's, so no _BandSum share waits for a thread, and the lock
+    a dealt call holds while its shares run. A forked child, which has none
+    of its parent's pool threads, has a new pid and so makes its own. Two
+    first calls that race may each make a pair, and each deals on its own."""
+    return (ThreadPoolExecutor(threads - 1, thread_name_prefix="stepseg-bands"),
+            threading.Lock())
 
 
 def _deal(share, x: np.ndarray, kh: int, kw: int, *scratch: tuple):
@@ -184,18 +176,20 @@ def _deal(share, x: np.ndarray, kh: int, kw: int, *scratch: tuple):
     every call has ended, raising the first failure.
 
     Share t gets _patch_bands(x, kh, kw, t, shares) and one new array of each
-    shape in scratch, all made here, on the calling thread. Share 0 runs here;
-    the others run on the pool, each in a copy of this thread's context. A
-    call that finds another call's bands being dealt runs all its bands here.
+    shape in scratch, all made here, on the calling thread. A single share
+    runs here. Otherwise share 0 runs here and the others on this process's
+    pool, each in a copy of this thread's context, while this call holds the
+    pool's lock: one call deals at a time, and another waits for the lock
+    before it submits a share, so no share waits behind another call's.
     """
     shares = _shares(x, kh, kw)
-    if shares == 1 or not _DEALING.acquire(blocking=False):
-        share(_patch_bands(x, kh, kw), *map(np.empty, scratch))
+    work = [(_patch_bands(x, kh, kw, t, shares), *map(np.empty, scratch))
+            for t in range(shares)]
+    if shares == 1:
+        share(*work[0])
         return
-    try:
-        work = [(_patch_bands(x, kh, kw, t, shares), *map(np.empty, scratch))
-                for t in range(shares)]
-        pool = _pool(_THREADS)
+    pool, dealing = _band_pool(_THREADS, os.getpid())
+    with dealing:
         futures = [pool.submit(contextvars.copy_context().run, share, *args)
                    for args in work[1:]]
         try:
@@ -203,8 +197,6 @@ def _deal(share, x: np.ndarray, kh: int, kw: int, *scratch: tuple):
         finally:
             # every share ends before the call does: each writes the output
             errors = [future.exception() for future in futures]
-    finally:
-        _DEALING.release()
     for error in errors:
         if error is not None:
             raise error

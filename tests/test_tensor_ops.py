@@ -1,5 +1,6 @@
 """Convolution core, adjoints, activations, and FTF1 file round trips."""
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -404,13 +405,16 @@ class TestBandThreads:
                 assert dealt[start][1] == stop
                 np.testing.assert_array_equal(dealt[start][2], cols)
 
+    # bands of rows 0-3, 4-7 and 8-11, with a 3x3 halo: rows 5 and 6 are
+    # read by band 1 only, which share 1 takes on the pool; rows 0-2 by band
+    # 0 only, which share 0 takes on the caller with band 2
+    @pytest.mark.parametrize("rows", [slice(5, 7), slice(0, 3)],
+                             ids=["pool_share", "callers_share"])
     def test_a_failing_share_ends_the_call_and_blocks_no_thread(
-            self, monkeypatch):
-        # bands of rows 0-3, 4-7 and 8-11: share 1 takes band 1, whose
-        # interior rows 5 and 6 overflow its GEMM; share 0's bands 0 and 2
-        # reach rows 4 and 7 only. Under the caller's errstate, which the
-        # share runs in, share 1 raises; share 0, waiting at the band-order
-        # hand-off to add band 2, must be released
+            self, monkeypatch, rows):
+        # the overflowing band's GEMM raises under the caller's errstate,
+        # which each share runs in; the other share, waiting at the
+        # band-order hand-off to add a later band, must be released
         monkeypatch.setattr(tensor_ops, "_THREADS", 2)
         monkeypatch.setattr(tensor_ops, "_BAND_BYTES", 4 * 2 * 9 * 5 * 8)
         rng = np.random.default_rng(3)
@@ -418,7 +422,7 @@ class TestBandThreads:
         u = rng.standard_normal((2, 12, 5))
         k = 10.0 * rng.standard_normal((2, 2, 3, 3))
         assert tensor_ops._shares(u, 3, 3) == 2
-        u[:, 5:7] = 1e308
+        u[:, rows] = 1e308
         outcome = []
 
         def call():
@@ -433,18 +437,49 @@ class TestBandThreads:
         caller.join(timeout=60)
         assert not caller.is_alive()
         assert len(outcome) == 1 and "overflow" in str(outcome[0])
-        assert not tensor_ops._DEALING.locked()
+        assert not tensor_ops._band_pool(2, os.getpid())[1].locked()
         # the pool is free again: the next call is dealt and keeps its bits
-        u[:, 5:7] = 0.0
+        u[:, rows] = 0.0
         got = conv2d_adjoints(u, x, k)
         monkeypatch.setattr(tensor_ops, "_THREADS", 1)
         for a, b in zip(got, conv2d_adjoints(u, x, k), strict=True):
             np.testing.assert_array_equal(a, b)
 
+    def test_a_call_waits_for_the_dealing_call_then_deals(self, monkeypatch):
+        # while another call holds the pool's lock, a call builds its shares
+        # and waits; once the lock is free it deals them, with the serial bits
+        shape, band_bytes, _ = DEALT["short_last"]
+        monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band_bytes)
+        monkeypatch.setattr(tensor_ops, "_THREADS", 1)
+        rng = np.random.default_rng(5)
+        x, k = rng.standard_normal(shape), rng.standard_normal((4, 4, 3, 3))
+        want = conv2d(x, k)
+        monkeypatch.setattr(tensor_ops, "_THREADS", 2)
+        patch_bands, dealt, got = tensor_ops._patch_bands, [], []
+
+        def spy(x, kh, kw, share=0, shares=1):
+            dealt.append((share, shares))
+            return patch_bands(x, kh, kw, share, shares)
+
+        monkeypatch.setattr(tensor_ops, "_patch_bands", spy)
+        caller = threading.Thread(target=lambda: got.append(conv2d(x, k)))
+        with tensor_ops._band_pool(2, os.getpid())[1]:
+            caller.start()
+            for _ in range(600):
+                if len(dealt) == 2:
+                    break
+                time.sleep(0.01)
+            caller.join(timeout=0.3)
+            assert caller.is_alive() and got == []
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert dealt == [(0, 2), (1, 2)]
+        np.testing.assert_array_equal(got[0], want)
+
     def test_concurrent_callers_keep_their_bits(self, monkeypatch):
         # more calling threads than cores, switching often: one call deals
-        # its bands at a time, the others run theirs on their own thread,
-        # and every result is the serial one
+        # its bands at a time, the others wait their turn, and every result
+        # is the serial one
         shape, band_bytes, _ = DEALT["short_last"]
         monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band_bytes)
         monkeypatch.setattr(tensor_ops, "_THREADS", 1)
@@ -477,9 +512,11 @@ class TestBandThreads:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
 
-    def test_a_forked_child_deals_its_own_bands(self, monkeypatch):
-        # the parent's pool threads do not exist in a forked child; a child
-        # that submitted to that pool would wait for them forever
+    @pytest.mark.parametrize("held", [False, True], ids=["free", "held"])
+    def test_a_forked_child_deals_its_own_bands(self, monkeypatch, held):
+        # the parent's pool threads do not exist in a forked child, and a
+        # lock the parent held stays held there; a child that used either
+        # would wait forever, so it makes its own pool and lock by its pid
         shape, band_bytes, _ = DEALT["short_last"]
         monkeypatch.setattr(tensor_ops, "_BAND_BYTES", band_bytes)
         monkeypatch.setattr(tensor_ops, "_THREADS", 2)
@@ -487,21 +524,24 @@ class TestBandThreads:
         x, u = rng.standard_normal(shape), rng.standard_normal(shape)
         k = rng.standard_normal((4, 4, 3, 3))
         want = conv2d_adjoints(u, x, k)
-        assert tensor_ops._pool.cache_info().currsize
-        with warnings.catch_warnings():
-            # Python 3.12 warns on fork in a process with threads
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                # the fork hook dropped the parent's pools
-                fresh = tensor_ops._pool.cache_info().currsize == 0
-                got = conv2d_adjoints(u, x, k)
-                code = 0 if fresh and all(np.array_equal(a, b)
-                                          for a, b in zip(got, want)) else 1
-            finally:
-                os._exit(code)
+        dealing = tensor_ops._band_pool(2, os.getpid())[1]
+        with dealing if held else contextlib.nullcontext():
+            with warnings.catch_warnings():
+                # Python 3.12 warns on fork in a process with threads
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    pools = tensor_ops._band_pool.cache_info().currsize
+                    got = conv2d_adjoints(u, x, k)
+                    # the call made a pool, with one thread, for this pid
+                    own = (tensor_ops._band_pool.cache_info().currsize
+                           == pools + 1 and threading.active_count() == 2)
+                    code = 0 if own and all(np.array_equal(a, b)
+                                            for a, b in zip(got, want)) else 1
+                finally:
+                    os._exit(code)
         for _ in range(600):
             done, status = os.waitpid(pid, os.WNOHANG)
             if done:
@@ -513,14 +553,21 @@ class TestBandThreads:
         assert done and os.waitstatus_to_exitcode(status) == 0
 
     def test_import_starts_no_thread(self):
+        # and dealt calls start one pool, which the process keeps
         root = str(Path(tensor_ops.__file__).resolve().parents[1])
         code = (f"import sys; sys.path.insert(0, {root!r}); "
-                "import threading, stepseg.cli, stepseg.tensor_ops as t; "
+                "import threading, numpy as np, stepseg.cli, "
+                "stepseg.tensor_ops as t; "
                 "print(threading.active_count(), "
-                "t._pool.cache_info().currsize)")
+                "t._band_pool.cache_info().currsize); "
+                "t._THREADS, t._BAND_BYTES = 2, 3 * 4 * 9 * 7 * 8; "
+                "[t.conv2d(np.ones((4, 12, 7)), np.ones((4, 4, 3, 3))) "
+                "for _ in range(2)]; "
+                "print(threading.active_count(), "
+                "t._band_pool.cache_info().currsize)")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True).stdout
-        assert out.split() == ["1", "0"]
+        assert out.split() == ["1", "0", "2", "1"]
 
 
 class TestActivations:
